@@ -7,9 +7,10 @@
 //     serializing on a service-wide mutex, and
 //   (3) the incremental-applier speedup for the §4.1 iterate loop: editing
 //     1 of k LFs should re-label in roughly 1/k of the full Apply time, and
-//   (4) the sharded tier: ShardRouter (hash partition → bounded queues →
-//     per-shard workers with burst fusion) vs. direct unsharded Label()
-//     under the same bursty concurrent-caller workload, at 1/2/4 shards.
+//   (4) the sharded tier: ShardRouter (hash partition → direct replica
+//     calls, one fan-out thread per extra shard) vs. direct unsharded
+//     Label() under the same bursty concurrent-caller workload, at 1/2/4
+//     shards.
 //
 //   (5) the K-class (Crowd-shaped, §4.1.2) serving path: a 5-class,
 //     102-worker Dawid-Skene snapshot served through LabelService and the
@@ -244,7 +245,6 @@ int main(int argc, char** argv) {
   double unsharded_nocache_cps = 0.0;  // Tuned (cache off).
   std::vector<std::pair<size_t, double>> sharded_cps;
   for (size_t shards : kShardCounts) sharded_cps.emplace_back(shards, 0.0);
-  uint64_t last_fused = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
     // Unsharded direct calls, default and tuned configs.
     for (bool cached : {true, false}) {
@@ -274,9 +274,6 @@ int main(int argc, char** argv) {
     for (size_t c = 0; c < kShardCounts.size(); ++c) {
       ShardRouter::Options router_options;
       router_options.num_shards = kShardCounts[c];
-      router_options.queue_capacity = 256;
-      router_options.workers_per_shard = 1;
-      router_options.max_fuse = 8;
       router_options.service.num_threads = 1;
       auto router = ShardRouter::Create(*snapshot, task->lfs, router_options);
       if (!router.ok()) {
@@ -290,11 +287,9 @@ int main(int argc, char** argv) {
         request.candidates = &batch;
         return router->Label(request).ok();
       });
-      if (trial > 0 && cps > sharded_cps[c].second) {
-        sharded_cps[c].second = cps;
-        last_fused = router->stats().fused_jobs;
+      if (trial > 0) {
+        sharded_cps[c].second = std::max(sharded_cps[c].second, cps);
       }
-      router->Shutdown();
     }
   }
 
@@ -312,9 +307,8 @@ int main(int argc, char** argv) {
                     TablePrinter::Cell(cps / unsharded_cps, 2)});
   }
   std::printf("\nSharded tier (%d concurrent callers, batch=%zu, best of %d "
-              "trials after warmup; last router fused %llu sub-batches):\n%s",
+              "trials after warmup):\n%s",
               kShardCallers, kShardBatchSize, kTrials - 1,
-              static_cast<unsigned long long>(last_fused),
               sharded.ToString().c_str());
 
   // ---- K-class (Crowd-shaped) serving: 5 sentiment classes, one LF per
@@ -408,9 +402,6 @@ int main(int argc, char** argv) {
     for (size_t c = 0; c < kShardCounts.size(); ++c) {
       ShardRouter::Options router_options;
       router_options.num_shards = kShardCounts[c];
-      router_options.queue_capacity = 256;
-      router_options.workers_per_shard = 1;
-      router_options.max_fuse = 8;
       router_options.service.num_threads = 1;
       auto router =
           ShardRouter::Create(*crowd_snapshot, crowd->lfs, router_options);
@@ -429,7 +420,6 @@ int main(int argc, char** argv) {
         kclass_sharded_cps[c].second =
             std::max(kclass_sharded_cps[c].second, cps);
       }
-      router->Shutdown();
     }
   }
 

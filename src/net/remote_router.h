@@ -43,10 +43,10 @@ struct RemoteRouterStats {
 };
 
 /// The cross-process ShardRouter: partitions a request over N remote
-/// ShardServer processes with the SAME stable content-hash placement as the
-/// in-process tier (shard/partitioner.h), fans sub-batches out concurrently
-/// through RemoteShardClient stubs, and merges responses back into request
-/// order.
+/// ShardServer processes and merges the responses back into request order
+/// through the same FanOutLabel path as the in-process tier
+/// (shard/fan_out.h); each sub-batch runs the failover chain below over
+/// RemoteShardClient stubs.
 ///
 /// Guarantees (the fabric-level extension of ShardRouter's):
 ///  - All shards healthy → the merged response is BITWISE-IDENTICAL to one
@@ -75,6 +75,10 @@ struct RemoteRouterStats {
 ///    rows stay bit-identical, failed sub-batches come back as uncovered
 ///    rows (covered bitmap + per-shard ShardOutcome), and only a request
 ///    with NO surviving sub-batch fails outright.
+///  - request_timeout_ms is one budget for the whole request, started at
+///    Label() entry; LabelRequest::cancel is checked before every attempt,
+///    so a cancelled request fails kDeadlineExceeded instead of failing
+///    over.
 ///
 /// Thread-safe: concurrent Label() calls fan out independently.
 class RemoteShardRouter {

@@ -49,23 +49,4 @@ ShardedRefBatch CandidatePartitioner::PartitionRefs(
   return batch;
 }
 
-ShardedBatch CandidatePartitioner::Partition(
-    const std::vector<Candidate>& candidates) const {
-  // One placement implementation: partition as refs, then materialize the
-  // owned copies (this form exists for callers that need sub-batches to
-  // outlive the request; the router itself uses PartitionRefs directly).
-  ShardedRefBatch refs = PartitionRefs(MakeCandidateRefs(candidates));
-  ShardedBatch batch;
-  batch.shard_candidates.resize(num_shards_);
-  batch.shard_to_request = std::move(refs.shard_to_request);
-  batch.total = refs.total;
-  for (size_t s = 0; s < num_shards_; ++s) {
-    batch.shard_candidates[s].reserve(refs.shard_rows[s].size());
-    for (const CandidateRef& row : refs.shard_rows[s]) {
-      batch.shard_candidates[s].push_back(*row.candidate);
-    }
-  }
-  return batch;
-}
-
 }  // namespace snorkel

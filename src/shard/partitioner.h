@@ -18,22 +18,8 @@ namespace snorkel {
 /// coordination — the DryBell-style contract for horizontal scale-out.
 uint64_t CandidateShardKey(const Candidate& candidate);
 
-/// One request's candidates split into per-shard sub-batches, remembering
-/// where each sub-batch row came from so per-shard responses can be merged
-/// back into request order.
-struct ShardedBatch {
-  /// Sub-batch of candidates routed to each shard (some may be empty).
-  std::vector<std::vector<Candidate>> shard_candidates;
-  /// shard_to_request[s][t] = index in the original request of shard s's
-  /// t-th sub-batch row.
-  std::vector<std::vector<size_t>> shard_to_request;
-  size_t total = 0;
-
-  size_t num_shards() const { return shard_candidates.size(); }
-};
-
-/// Ref (zero-copy) form of ShardedBatch: sub-batch rows borrow the
-/// request's candidates instead of copying them.
+/// One request's candidates split into per-shard sub-batches (some may be
+/// empty). Rows borrow the request's candidates instead of copying them.
 struct ShardedRefBatch {
   std::vector<std::vector<CandidateRef>> shard_rows;
   /// shard_to_request[s][t] = position in the original request of shard
@@ -64,12 +50,9 @@ class CandidatePartitioner {
                                      num_shards_);
   }
 
-  /// Splits `candidates` into per-shard sub-batches plus the index maps
-  /// needed to reassemble responses in request order.
-  ShardedBatch Partition(const std::vector<Candidate>& candidates) const;
-
-  /// Zero-copy form: per-shard ref sub-batches that borrow the request's
-  /// candidates (16 bytes per row instead of a Candidate copy). Each ref
+  /// Splits `rows` into per-shard ref sub-batches that borrow the request's
+  /// candidates (16 bytes per row instead of a Candidate copy), plus the
+  /// index maps needed to reassemble responses in request order. Each ref
   /// keeps its caller-visible `index` untouched (what the LFs see), while
   /// `shard_to_request` records positions within `rows` (what the merge
   /// scatters by) — the two differ when the caller's refs carry their own

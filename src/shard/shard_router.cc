@@ -1,316 +1,30 @@
 #include "shard/shard_router.h"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <numeric>
-#include <optional>
-#include <thread>
-#include <tuple>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/bounded_queue.h"
-#include "util/timer.h"
+#include "shard/fan_out.h"
 
 namespace snorkel {
 
-namespace {
-
-/// Completion latch shared by all of one request's shard jobs: each worker
-/// writes its result slot and decrements; the caller sleeps until every
-/// admitted job has reported. One latch per request instead of one
-/// promise/future pair per shard job — a single caller wakeup and zero
-/// shared-state heap allocations on the per-request hot path.
-struct RequestLatch {
-  std::mutex mu;
-  std::condition_variable cv;
-  /// Jobs armed but not yet completed. Armed BEFORE each push (a worker can
-  /// complete a job before the push even returns) and un-armed if the push
-  /// is rejected; workers decrement on completion, so the count stays
-  /// consistent no matter how fan-out and completions interleave.
-  size_t remaining = 0;
-
-  void Arm() {
-    std::lock_guard<std::mutex> lock(mu);
-    ++remaining;
-  }
-
-  /// Reverts an Arm() whose push was not admitted.
-  void Disarm() {
-    std::lock_guard<std::mutex> lock(mu);
-    --remaining;
-  }
-
-  void Complete() {
-    std::lock_guard<std::mutex> lock(mu);
-    if (--remaining == 0) cv.notify_one();
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return remaining == 0; });
-  }
-};
-
-/// One shard-bound unit of work: a borrowed, zero-copy ref sub-batch plus
-/// the request flags it must be served under. EVERYTHING the job points at
-/// (corpus, rows, slot, latch) is owned by the caller's Label() frame —
-/// which is why the router always waits for every admitted job, even on a
-/// rejected or failed request, before returning.
-struct ShardJob {
-  const Corpus* corpus = nullptr;
-  const std::vector<CandidateRef>* rows = nullptr;
-  bool include_votes = false;
-  bool apply_class_balance = true;
-  /// Where the worker writes this job's result (caller-owned, stable).
-  std::optional<Result<LabelResponse>>* slot = nullptr;
-  RequestLatch* latch = nullptr;
-  /// Trace identity carried across the queue hop (zero when untraced) and
-  /// the admission timestamp the worker turns into a queue-wait span.
-  obs::TraceContext trace_ctx;
-  uint64_t admit_ns = 0;
-
-  void Finish(Result<LabelResponse> result) {
-    slot->emplace(std::move(result));
-    latch->Complete();
-  }
-};
-
-bool Fusable(const ShardJob& a, const ShardJob& b) {
-  return a.corpus == b.corpus && a.apply_class_balance == b.apply_class_balance;
-}
-
-}  // namespace
-
 struct ShardRouter::Impl {
-  struct Shard {
-    std::unique_ptr<LabelService> replica;
-    std::unique_ptr<BoundedQueue<ShardJob>> queue;
-    std::vector<std::thread> workers;
-  };
-
-  Options options;
-  CandidatePartitioner partitioner;
-  size_t lf_count = 0;
-  /// Task cardinality of the snapshot every replica serves (2 = binary);
-  /// K-class responses carry flat m×K class_posteriors the merge scatters
-  /// K doubles at a time.
-  int cardinality = 2;
-  std::vector<Shard> shards;
+  /// Every replica was built from one snapshot; the fan-out answers empty
+  /// requests in its shape (cardinality, LF count).
+  ShardTier tier;
+  std::vector<std::unique_ptr<LabelService>> replicas;
   std::atomic<bool> shutdown{false};
-  std::once_flag shutdown_once;
-
-  mutable std::mutex stats_mu;
-  uint64_t num_requests = 0;
-  uint64_t num_candidates = 0;
-  uint64_t rejected_requests = 0;
-  uint64_t failed_requests = 0;
-  uint64_t degraded_requests = 0;
-  uint64_t fused_jobs = 0;
-  /// High-water gauge, atomic so the admission hot path never touches the
-  /// shared stats lock.
-  std::atomic<size_t> max_queue_depth{0};
-  bool has_served = false;
-
-  void RecordQueueDepth(size_t depth) {
-    size_t seen = max_queue_depth.load(std::memory_order_relaxed);
-    while (depth > seen && !max_queue_depth.compare_exchange_weak(
-                               seen, depth, std::memory_order_relaxed)) {
-    }
-  }
-  std::chrono::steady_clock::time_point first_request_start{};
-  std::chrono::steady_clock::time_point last_request_done{};
-
-  /// Registry callback tokens for the router counters (callbacks lock
-  /// stats_mu; unregistered in ~Impl, which bars further invocation).
-  std::vector<uint64_t> metric_tokens;
-
-  explicit Impl(Options opts)
-      : options(opts), partitioner(opts.num_shards) {
-    auto& registry = obs::MetricsRegistry::Default();
-    auto expose = [&](const char* name, uint64_t Impl::* member) {
-      metric_tokens.push_back(registry.RegisterCallback(
-          name, obs::MetricType::kCounter, [this, member]() {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            return static_cast<double>(this->*member);
-          }));
-    };
-    expose("snorkel_router_requests_total", &Impl::num_requests);
-    expose("snorkel_router_candidates_total", &Impl::num_candidates);
-    expose("snorkel_router_rejected_total", &Impl::rejected_requests);
-    expose("snorkel_router_failed_total", &Impl::failed_requests);
-    expose("snorkel_router_degraded_total", &Impl::degraded_requests);
-    expose("snorkel_router_fused_jobs_total", &Impl::fused_jobs);
-    metric_tokens.push_back(registry.RegisterCallback(
-        "snorkel_router_max_queue_depth", obs::MetricType::kGauge, [this]() {
-          return static_cast<double>(
-              max_queue_depth.load(std::memory_order_relaxed));
-        }));
-  }
-
-  ~Impl() {
-    auto& registry = obs::MetricsRegistry::Default();
-    for (uint64_t token : metric_tokens) registry.UnregisterCallback(token);
-  }
-
-  /// Turns a job's admission timestamp into a queue-wait span and installs
-  /// its trace identity on the worker thread for the replica call.
-  static void EmitQueueWait(const ShardJob& job) {
-    if (!job.trace_ctx.valid()) return;
-    obs::EmitSpan(job.trace_ctx, "shard.queue_wait", job.admit_ns,
-                  obs::NowNanos());
-  }
-
-  void ServeOne(Shard& shard, ShardJob& job) {
-    EmitQueueWait(job);
-    obs::ScopedTraceContext ctx(job.trace_ctx);
-    LabelRequest request;
-    request.corpus = job.corpus;
-    request.candidate_refs = job.rows;
-    request.include_votes = job.include_votes;
-    request.apply_class_balance = job.apply_class_balance;
-    // The span must close before Finish unblocks the caller and before the
-    // flush, or a drain right after Label() returns misses shard.serve.
-    Result<LabelResponse> response(Status::Internal("unset"));
-    {
-      obs::TraceSpan span("shard.serve");
-      response = shard.replica->Label(request);
-    }
-    obs::FlushThreadSpans();
-    job.Finish(std::move(response));
-  }
-
-  /// Serves a run of queued jobs, fusing consecutive compatible sub-batches
-  /// into one model pass. Correctness relies on every per-row stage being
-  /// content-pure (LF votes per candidate, WeightedRowSums per row,
-  /// SigmoidBatch per element): concatenating sub-batches changes only how
-  /// much work one pass does, never any row's bits.
-  void ServeRun(Shard& shard, std::vector<ShardJob>& run) {
-    size_t begin = 0;
-    while (begin < run.size()) {
-      size_t end = begin + 1;
-      while (end < run.size() && Fusable(run[begin], run[end])) ++end;
-      if (end - begin == 1) {
-        ServeOne(shard, run[begin]);
-      } else {
-        ServeFused(shard, run, begin, end);
-      }
-      begin = end;
-    }
-  }
-
-  void ServeFused(Shard& shard, std::vector<ShardJob>& run, size_t begin,
-                  size_t end) {
-    size_t total = 0;
-    bool any_votes = false;
-    for (size_t g = begin; g < end; ++g) {
-      total += run[g].rows->size();
-      any_votes = any_votes || run[g].include_votes;
-    }
-    // Concatenating refs is 16 bytes per row — the fused pass never copies
-    // a candidate.
-    std::vector<CandidateRef> fused;
-    fused.reserve(total);
-    for (size_t g = begin; g < end; ++g) {
-      fused.insert(fused.end(), run[g].rows->begin(), run[g].rows->end());
-    }
-    LabelRequest request;
-    request.corpus = run[begin].corpus;
-    request.candidate_refs = &fused;
-    request.include_votes = any_votes;
-    request.apply_class_balance = run[begin].apply_class_balance;
-    // Each fused job gets its own queue-wait span; the single model pass
-    // is attributed to the first job's trace (annotated with the fuse
-    // width so the others' traces aren't silently missing time).
-    for (size_t g = begin; g < end; ++g) EmitQueueWait(run[g]);
-    Result<LabelResponse> response(Status::Internal("unset"));
-    {
-      obs::ScopedTraceContext ctx(run[begin].trace_ctx);
-      {
-        obs::TraceSpan span("shard.serve");
-        if (span.active()) {
-          span.Annotate("fused=" + std::to_string(end - begin));
-        }
-        response = shard.replica->Label(request);
-      }
-      obs::FlushThreadSpans();
-    }
-    if (!response.ok()) {
-      // Isolate the failure: one poisoned sub-batch must not fail the
-      // unrelated requests that happened to be fused with it.
-      for (size_t g = begin; g < end; ++g) ServeOne(shard, run[g]);
-      return;
-    }
-    size_t offset = 0;
-    const size_t k = static_cast<size_t>(response->cardinality);
-    for (size_t g = begin; g < end; ++g) {
-      ShardJob& job = run[g];
-      size_t n = job.rows->size();
-      LabelResponse out;
-      out.cardinality = response->cardinality;
-      if (!response->posteriors.empty()) {
-        out.posteriors.assign(response->posteriors.begin() + offset,
-                              response->posteriors.begin() + offset + n);
-      }
-      out.hard_labels.assign(response->hard_labels.begin() + offset,
-                             response->hard_labels.begin() + offset + n);
-      if (!response->class_posteriors.empty()) {
-        // K-class rows are k doubles wide; slicing a fused pass cannot
-        // change a row's bits (the E-step kernel is row-pure).
-        out.class_posteriors.assign(
-            response->class_posteriors.begin() + offset * k,
-            response->class_posteriors.begin() + (offset + n) * k);
-      }
-      if (job.include_votes) {
-        std::vector<size_t> rows(n);
-        std::iota(rows.begin(), rows.end(), offset);
-        out.votes = response->votes.SelectRows(rows);
-      }
-      out.latency_ms = response->latency_ms;
-      job.Finish(std::move(out));
-      offset += n;
-    }
-    std::lock_guard<std::mutex> lock(stats_mu);
-    fused_jobs += (end - begin) - 1;
-  }
-
-  void WorkerLoop(size_t shard_index) {
-    Shard& shard = shards[shard_index];
-    while (auto first = shard.queue->Pop()) {
-      std::vector<ShardJob> run;
-      run.push_back(std::move(*first));
-      // Coalesce whatever burst is already queued (bounded by max_fuse);
-      // never wait for more traffic.
-      while (run.size() < std::max<size_t>(1, options.max_fuse)) {
-        auto next = shard.queue->TryPop();
-        if (!next) break;
-        run.push_back(std::move(*next));
-      }
-      ServeRun(shard, run);
-    }
-  }
+  RouterCounters counters{"snorkel_router_"};
 };
 
 ShardRouter::ShardRouter(std::unique_ptr<Impl> impl)
     : impl_(std::move(impl)) {}
 
-ShardRouter& ShardRouter::operator=(ShardRouter&& other) {
-  if (this != &other) {
-    // A defaulted move would destroy a live Impl with joinable workers
-    // (std::terminate) — drain and join this tier before adopting other's.
-    Shutdown();
-    impl_ = std::move(other.impl_);
-  }
-  return *this;
-}
+ShardRouter::ShardRouter(ShardRouter&&) noexcept = default;
+ShardRouter& ShardRouter::operator=(ShardRouter&&) noexcept = default;
+ShardRouter::~ShardRouter() = default;
 
-ShardRouter::~ShardRouter() { Shutdown(); }
-
-size_t ShardRouter::num_shards() const { return impl_->shards.size(); }
+size_t ShardRouter::num_shards() const { return impl_->replicas.size(); }
 
 Result<ShardRouter> ShardRouter::Create(const ModelSnapshot& snapshot,
                                         const LabelingFunctionSet& lfs,
@@ -318,26 +32,15 @@ Result<ShardRouter> ShardRouter::Create(const ModelSnapshot& snapshot,
   if (options.num_shards == 0) {
     return Status::InvalidArgument("ShardRouter needs at least one shard");
   }
-  auto impl = std::make_unique<Impl>(options);
-  impl->lf_count = lfs.size();
-  impl->cardinality = snapshot.cardinality;
-  impl->shards.resize(options.num_shards);
+  auto impl = std::make_unique<Impl>();
+  impl->tier.num_shards = options.num_shards;
+  impl->tier.cardinality = snapshot.cardinality;
+  impl->tier.num_lfs = lfs.size();
   for (size_t s = 0; s < options.num_shards; ++s) {
     auto replica = LabelService::Create(snapshot, lfs, options.service);
     if (!replica.ok()) return replica.status();
-    impl->shards[s].replica =
-        std::make_unique<LabelService>(std::move(*replica));
-    impl->shards[s].queue =
-        std::make_unique<BoundedQueue<ShardJob>>(options.queue_capacity);
-  }
-  // Workers start only after every shard is fully constructed (WorkerLoop
-  // indexes impl->shards).
-  size_t workers = std::max<size_t>(1, options.workers_per_shard);
-  for (size_t s = 0; s < options.num_shards; ++s) {
-    for (size_t w = 0; w < workers; ++w) {
-      impl->shards[s].workers.emplace_back(
-          [raw = impl.get(), s] { raw->WorkerLoop(s); });
-    }
+    impl->replicas.push_back(
+        std::make_unique<LabelService>(std::move(*replica)));
   }
   return ShardRouter(std::move(impl));
 }
@@ -352,303 +55,46 @@ Result<ShardRouter> ShardRouter::FromFile(const std::string& path,
 }
 
 void ShardRouter::Shutdown() {
-  if (impl_ == nullptr) return;  // Moved-from.
-  std::call_once(impl_->shutdown_once, [this] {
-    impl_->shutdown.store(true, std::memory_order_release);
-    for (auto& shard : impl_->shards) shard.queue->Close();
-    for (auto& shard : impl_->shards) {
-      for (auto& worker : shard.workers) {
-        if (worker.joinable()) worker.join();
-      }
-    }
-  });
+  if (impl_ != nullptr) impl_->shutdown.store(true, std::memory_order_release);
 }
 
 Result<LabelResponse> ShardRouter::Label(const LabelRequest& request) {
   Impl& impl = *impl_;
-  if (request.corpus == nullptr) {
-    return Status::InvalidArgument("request missing corpus");
-  }
-  const bool by_refs = request.candidate_refs != nullptr;
-  if (by_refs == (request.candidates != nullptr)) {
-    return Status::InvalidArgument(
-        "request must set exactly one of candidates / candidate_refs");
-  }
   if (impl.shutdown.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("router is shut down");
   }
-  const auto request_start = std::chrono::steady_clock::now();
-  WallTimer timer;
-
-  // Zero-copy fan-out: sub-batches borrow the request's candidates (and
-  // keep the caller-visible indices), so sharding neither copies a
-  // candidate nor renumbers what index-dependent LFs observe.
-  std::vector<CandidateRef> identity;
-  if (!by_refs) identity = MakeCandidateRefs(*request.candidates);
-  const std::vector<CandidateRef>& base =
-      by_refs ? *request.candidate_refs : identity;
-  ShardedRefBatch parts = impl.partitioner.PartitionRefs(base);
-
-  // ---- Fan out: admit one job per non-empty shard. All jobs share one
-  // completion latch; slots are preallocated so their addresses stay stable
-  // while workers hold them. ----
-  struct Pending {
-    size_t shard = 0;
-    std::vector<size_t> to_request;
-    std::optional<Result<LabelResponse>>* slot = nullptr;
-  };
-  RequestLatch latch;
-  std::vector<std::optional<Result<LabelResponse>>> slots(impl.shards.size());
-  std::vector<Pending> pending;
-  pending.reserve(impl.shards.size());
-  size_t admitted = 0;
-  Status admit = Status::OK();
-  // Typed failures per sub-batch, recorded instead of failing the request
-  // when allow_partial (admission rejections and shard errors both land
-  // here; merged with the successful shards' kOk outcomes below).
-  std::vector<ShardOutcome> failed_outcomes;
-  // Reject policy: admission is per-shard, not transactional — a request
-  // rejected at shard s has already committed its sub-batches to shards
-  // < s, whose (discarded) results the caller still waits for. To keep
-  // rejection cheap under overload, probe every needed queue first and
-  // shed before committing anything; the probe is advisory (another caller
-  // can fill a queue between probe and push), so the per-shard rejection
-  // path below still backstops it. (allow_partial requests skip the probe:
-  // a full queue degrades that shard's rows, it does not shed the request.)
-  if (!impl.options.block_on_full && !request.allow_partial) {
-    for (size_t s = 0; s < impl.shards.size(); ++s) {
-      auto& queue = *impl.shards[s].queue;
-      if (!parts.shard_rows[s].empty() &&
-          queue.size() >= queue.capacity()) {
-        std::lock_guard<std::mutex> lock(impl.stats_mu);
-        ++impl.rejected_requests;
-        return Status::ResourceExhausted(
-            "shard " + std::to_string(s) + "/" +
-            std::to_string(impl.shards.size()) + " queue full (capacity " +
-            std::to_string(queue.capacity()) + "); request rejected");
-      }
-    }
-  }
-  for (size_t s = 0; s < impl.shards.size() && admit.ok(); ++s) {
-    if (parts.shard_rows[s].empty()) continue;
-    ShardJob job;
-    job.corpus = request.corpus;
-    job.rows = &parts.shard_rows[s];
-    job.include_votes = request.include_votes;
-    job.apply_class_balance = request.apply_class_balance;
-    job.slot = &slots[s];
-    job.latch = &latch;
-    job.trace_ctx = obs::CurrentTraceContext();
-    job.admit_ns = job.trace_ctx.valid() ? obs::NowNanos() : 0;
-    latch.Arm();  // A worker may Complete() before the push even returns.
-    auto& queue = *impl.shards[s].queue;
-    using PushResult = BoundedQueue<ShardJob>::PushResult;
-    PushResult pushed = impl.options.block_on_full
-                            ? queue.Push(std::move(job))
-                            : queue.TryPush(std::move(job));
-    switch (pushed) {
-      case PushResult::kOk:
-        ++admitted;
-        pending.push_back(
-            Pending{s, std::move(parts.shard_to_request[s]), &slots[s]});
-        impl.RecordQueueDepth(queue.size());
-        break;
-      case PushResult::kQueueFull:
-        latch.Disarm();  // Not consumed.
-        if (request.allow_partial) {
-          // Degrade just this shard's rows; keep admitting the rest.
-          failed_outcomes.push_back(ShardOutcome{
-              s, parts.shard_rows[s].size(), StatusCode::kResourceExhausted,
-              "queue full (capacity " + std::to_string(queue.capacity()) +
-                  ")",
-              {}});
-        } else {
-          admit = Status::ResourceExhausted(
-              "shard " + std::to_string(s) + "/" +
-              std::to_string(impl.shards.size()) + " queue full (capacity " +
-              std::to_string(queue.capacity()) + "); request rejected");
-        }
-        break;
-      case PushResult::kClosed:
-        latch.Disarm();
-        admit = Status::FailedPrecondition("router is shut down");
-        break;
-    }
-  }
-
-  // ---- Collect. Always wait for EVERY admitted job before returning:
-  // enqueued sub-batches reference the caller's corpus, latch, and slots,
-  // so even a rejected or failed request must not race its own workers. ----
-  if (admitted > 0) latch.Wait();
-
-  if (!admit.ok()) {
-    if (admit.code() == StatusCode::kResourceExhausted) {
-      std::lock_guard<std::mutex> lock(impl.stats_mu);
-      ++impl.rejected_requests;
-    }
-    return admit;
-  }
-  // Which admitted sub-batches actually served. Default policy: any failure
-  // fails the whole request, typed, with shard context — never a
-  // partially-filled response. allow_partial: failures become uncovered
-  // rows; only a request with NO surviving sub-batch fails outright.
-  std::vector<const Pending*> served;
-  served.reserve(pending.size());
-  for (const Pending& p : pending) {
-    const Result<LabelResponse>& result = **p.slot;
-    if (result.ok()) {
-      served.push_back(&p);
-      continue;
-    }
-    const Status& cause = result.status();
-    if (!request.allow_partial) {
-      std::lock_guard<std::mutex> lock(impl.stats_mu);
-      ++impl.failed_requests;
-      return Status(cause.code(), "shard " + std::to_string(p.shard) + "/" +
-                                      std::to_string(impl.shards.size()) +
-                                      " failed: " + cause.message());
-    }
-    failed_outcomes.push_back(ShardOutcome{
-        p.shard, p.to_request.size(), cause.code(), cause.message(), {}});
-  }
-  if (request.allow_partial && served.empty() && !failed_outcomes.empty()) {
-    // Nothing survived — a zero-coverage "partial" response would be a
-    // failure wearing a success type. Fail typed like the default policy.
-    const ShardOutcome& first = failed_outcomes.front();
-    std::lock_guard<std::mutex> lock(impl.stats_mu);
-    if (first.code == StatusCode::kResourceExhausted) {
-      ++impl.rejected_requests;
-    } else {
-      ++impl.failed_requests;
-    }
-    return Status(first.code, "shard " + std::to_string(first.shard) + "/" +
-                                  std::to_string(impl.shards.size()) +
-                                  " failed (no shard survived): " +
-                                  first.message);
-  }
-
-  // ---- Merge back into request order. Binary responses scatter one
-  // scalar per row; K-class responses scatter one K-vector per row. Either
-  // way every per-row value is copied verbatim from its shard's response,
-  // so the merged batch is bitwise-identical to one unsharded pass. ----
-  const size_t k = static_cast<size_t>(impl.cardinality);
-  LabelResponse response;
-  response.cardinality = impl.cardinality;
-  if (impl.cardinality == 2) {
-    response.posteriors.resize(parts.total);
-  } else {
-    response.class_posteriors.resize(parts.total * k);
-  }
-  response.hard_labels.resize(parts.total);
-  // Degradation bookkeeping: covered-index bitmap + per-sub-batch status
-  // (kOk rows merged below; failed ones stay uncovered).
-  const bool degraded = !failed_outcomes.empty();
-  if (degraded) {
-    response.is_partial = true;
-    response.covered.assign((parts.total + 63) / 64, 0);
-    response.shard_outcomes = std::move(failed_outcomes);
-  }
-  // `Label` names this method here, so qualify the vote type.
-  std::vector<std::tuple<size_t, size_t, snorkel::Label>> vote_triplets;
-  for (const Pending* served_p : served) {
-    const Result<LabelResponse>& slot_result = **served_p->slot;
-    const LabelResponse& shard_response = *slot_result;
-    const std::vector<size_t>& to_request = served_p->to_request;
-    if (degraded) {
-      response.shard_outcomes.push_back(ShardOutcome{
-          served_p->shard, to_request.size(), StatusCode::kOk, "", {}});
-      for (size_t t = 0; t < to_request.size(); ++t) {
-        response.covered[to_request[t] / 64] |= uint64_t{1}
-                                                << (to_request[t] % 64);
-      }
-    }
-    for (size_t t = 0; t < to_request.size(); ++t) {
-      response.hard_labels[to_request[t]] = shard_response.hard_labels[t];
-      if (impl.cardinality == 2) {
-        response.posteriors[to_request[t]] = shard_response.posteriors[t];
-      } else {
-        std::copy(shard_response.class_posteriors.begin() + t * k,
-                  shard_response.class_posteriors.begin() + (t + 1) * k,
-                  response.class_posteriors.begin() + to_request[t] * k);
-      }
-    }
-    if (request.include_votes) {
-      for (size_t t = 0; t < to_request.size(); ++t) {
-        for (const auto& entry : shard_response.votes.row(t)) {
-          vote_triplets.emplace_back(to_request[t], entry.lf, entry.label);
-        }
-      }
-    }
-  }
-  if (request.include_votes) {
-    auto votes = LabelMatrix::FromTriplets(parts.total, impl.lf_count,
-                                           vote_triplets, impl.cardinality);
-    if (!votes.ok()) {
-      // Unreachable from well-formed shard matrices; surface, don't hide.
-      return Status::Internal("vote reassembly failed: " +
-                              votes.status().message());
-    }
-    response.votes = std::move(*votes);
-  }
-  if (degraded) {
-    // Deterministic report order regardless of completion interleaving.
-    std::sort(response.shard_outcomes.begin(), response.shard_outcomes.end(),
-              [](const ShardOutcome& a, const ShardOutcome& b) {
-                return a.shard < b.shard;
-              });
-  }
-  response.latency_ms = timer.ElapsedMillis();
-
-  {
-    std::lock_guard<std::mutex> lock(impl.stats_mu);
-    if (degraded) ++impl.degraded_requests;
-    ++impl.num_requests;
-    impl.num_candidates += parts.total;
-    if (!impl.has_served || request_start < impl.first_request_start) {
-      impl.first_request_start = request_start;
-      impl.has_served = true;
-    }
-    const auto done = std::chrono::steady_clock::now();
-    if (done > impl.last_request_done) impl.last_request_done = done;
-  }
-  return response;
+  return FanOutLabel(
+      request, impl.tier,
+      [&impl](SubBatch& sub) {
+        obs::TraceSpan span("shard.serve");
+        return impl.replicas[sub.shard]->Label(sub.request);
+      },
+      impl.counters);
 }
 
 void ShardRouter::InvalidateCache() {
-  for (auto& shard : impl_->shards) shard.replica->InvalidateCache();
+  for (auto& replica : impl_->replicas) replica->InvalidateCache();
 }
 
 RouterStats ShardRouter::stats() const {
   const Impl& impl = *impl_;
   RouterStats out;
-  {
-    std::lock_guard<std::mutex> lock(impl.stats_mu);
-    out.num_requests = impl.num_requests;
-    out.num_candidates = impl.num_candidates;
-    out.rejected_requests = impl.rejected_requests;
-    out.failed_requests = impl.failed_requests;
-    out.degraded_requests = impl.degraded_requests;
-    out.fused_jobs = impl.fused_jobs;
-    out.max_queue_depth = impl.max_queue_depth.load(std::memory_order_relaxed);
-    if (impl.has_served) {
-      out.busy_span_s = std::chrono::duration<double>(impl.last_request_done -
-                                                      impl.first_request_start)
-                            .count();
-      out.throughput_cps =
-          out.busy_span_s > 0.0
-              ? static_cast<double>(impl.num_candidates) / out.busy_span_s
-              : 0.0;
-    }
-  }
-  if (!impl.shards.empty()) {
-    // Replicas were built from one snapshot; any replica's identity is the
-    // tier's.
-    out.snapshot_version = impl.shards[0].replica->snapshot_version();
-    out.snapshot_checksum = impl.shards[0].replica->snapshot_checksum();
-  }
-  for (const auto& shard : impl.shards) {
-    out.queue_depth += shard.queue->size();
-    out.per_shard.push_back(shard.replica->stats());
+  const RouterCounters::Totals totals = impl.counters.Read();
+  out.num_requests = totals.requests;
+  out.num_candidates = totals.candidates;
+  out.failed_requests = totals.failed;
+  out.degraded_requests = totals.degraded;
+  out.busy_span_s = totals.busy_span_s;
+  out.throughput_cps =
+      out.busy_span_s > 0.0
+          ? static_cast<double>(out.num_candidates) / out.busy_span_s
+          : 0.0;
+  // Replicas were built from one snapshot; any replica's identity is the
+  // tier's.
+  out.snapshot_version = impl.replicas[0]->snapshot_version();
+  out.snapshot_checksum = impl.replicas[0]->snapshot_checksum();
+  for (const auto& shard : impl.replicas) {
+    out.per_shard.push_back(shard->stats());
     const ServiceStats& replica = out.per_shard.back();
     out.lf_columns_reused += replica.lf_columns_reused;
     out.lf_columns_computed += replica.lf_columns_computed;

@@ -10,7 +10,6 @@
 #include "lf/labeling_function.h"
 #include "serve/label_service.h"
 #include "serve/snapshot.h"
-#include "shard/partitioner.h"
 #include "util/status.h"
 
 namespace snorkel {
@@ -21,21 +20,15 @@ struct RouterStats {
   uint64_t num_requests = 0;
   /// Candidates labeled across successful requests.
   uint64_t num_candidates = 0;
-  /// Requests refused with kResourceExhausted because a shard queue was at
-  /// capacity (reject backpressure policy only).
-  uint64_t rejected_requests = 0;
   /// Requests failed by a shard error (typed status propagated to caller).
   uint64_t failed_requests = 0;
   /// allow_partial requests answered with is_partial == true: at least one
   /// sub-batch failed and its rows were returned uncovered instead of
   /// failing the whole request.
   uint64_t degraded_requests = 0;
-  /// Sub-batches that were coalesced into an immediately preceding model
-  /// pass by a shard worker (queue pipelining at work).
+  /// Always 0: the router calls its replicas directly, with no queue to
+  /// fuse from or fill. Kept because perfbench/serve.cc reports them.
   uint64_t fused_jobs = 0;
-  /// Sub-batches currently sitting in shard queues (instantaneous gauge).
-  size_t queue_depth = 0;
-  /// High-water mark of any single shard queue's depth.
   size_t max_queue_depth = 0;
   /// Wall-clock candidates/sec across the whole tier (same definition as
   /// ServiceStats::throughput_cps).
@@ -59,31 +52,28 @@ struct RouterStats {
   uint64_t snapshot_version = 0;
   uint64_t snapshot_checksum = 0;
   /// Per-replica serving stats, indexed by shard. A shard's num_requests
-  /// counts model passes (fused sub-batches count once), not client
-  /// requests.
+  /// counts the sub-batches it served, not client requests.
   std::vector<ServiceStats> per_shard;
 };
 
-/// The scale-out tier over N LabelService replicas — the DryBell-shaped
-/// layer that turns one-process serving into a horizontally partitioned
-/// fleet (ROADMAP "multi-node sharding" + "async request queue"):
+/// The in-process scale-out tier over N LabelService replicas — the
+/// DryBell-shaped layer that turns one-process serving into a horizontally
+/// partitioned fleet:
 ///
 ///   Label(request)
-///     └─ CandidatePartitioner: hash-split candidates into per-shard
-///        sub-batches by stable content key
-///     └─ BoundedQueue per shard: admission with explicit backpressure —
-///        block until space, or typed kResourceExhausted rejection
-///     └─ dedicated worker threads per shard: pop sub-batches, coalesce
-///        bursts into fused model passes, run the shard's replica
-///     └─ merge: responses reassembled into request order
+///     └─ FanOutLabel (shard/fan_out.h), shared with RemoteShardRouter:
+///        hash-split candidates into per-shard sub-batches by stable content
+///        key, call each shard's replica directly (the caller's thread
+///        serves one sub-batch, one std::thread per other shard), merge the
+///        responses back into request order
 ///
 /// Guarantees:
 ///  - Posteriors (the binary scalar AND the K-class per-row class
 ///    distribution), hard labels, and (with include_votes) the reassembled
 ///    vote matrix are BITWISE-IDENTICAL to one unsharded LabelService
 ///    answering the same request: every per-row kernel is content-pure, so
-///    neither the partition, the sub-batch sizes, nor worker-side fusion
-///    can perturb a single bit.
+///    neither the partition nor the sub-batch sizes can perturb a single
+///    bit.
 ///  - By default a failed shard fails the whole request with a typed status
 ///    naming the shard ("shard 2/4: ..."); the router never returns
 ///    partially-filled data silently. A request may instead opt into typed
@@ -92,40 +82,22 @@ struct RouterStats {
 ///    surface as uncovered rows (LabelResponse::covered bitmap +
 ///    per-sub-batch ShardOutcome), and only a request with NO surviving
 ///    sub-batch fails outright.
-///  - Requests admitted before Shutdown() drain to completion; Label()
-///    after shutdown is a typed FailedPrecondition.
+///  - LabelRequest::cancel reaches every replica: a cancelled or expired
+///    request fails typed kDeadlineExceeded.
+///  - Label() after Shutdown() is a typed FailedPrecondition; requests
+///    already inside Label() finish normally.
 ///
-/// Thread-safe: any number of concurrent callers; bursty callers pipeline
-/// through the queues instead of contending inside Label().
+/// Thread-safe: any number of concurrent callers; replicas serve
+/// concurrent sub-batches without a service-level lock.
 class ShardRouter {
  public:
   struct Options {
     /// Number of LabelService replicas (>= 1).
     size_t num_shards = 2;
-    /// Per-shard queue bound (sub-batches); clamped to >= 1.
-    size_t queue_capacity = 128;
-    /// Dedicated worker threads per shard; clamped to >= 1.
-    size_t workers_per_shard = 1;
-    /// Backpressure policy when a shard queue is full: true = the caller
-    /// blocks in Label() until space frees up; false = the request is
-    /// rejected with kResourceExhausted (and counted in rejected_requests).
-    /// Rejection is all-or-nothing for the RESPONSE (never partial
-    /// results), but admission is per-shard, not transactional: a full
-    /// queue is probed for up-front (cheap shed with no wasted work), yet
-    /// under a probe/push race a request can commit sub-batches to some
-    /// shards before being rejected at another — those execute and are
-    /// discarded, and the caller waits for them before the rejection
-    /// returns.
-    bool block_on_full = true;
-    /// Max sub-batches a worker coalesces into one fused model pass. Fusing
-    /// amortizes per-pass fixed costs under bursty load and cannot change
-    /// results (see the bitwise guarantee above). 1 disables fusion.
-    size_t max_fuse = 8;
     /// Options for each shard's LabelService replica. The column cache
     /// defaults ON (matching LabelService): it is concurrent and
     /// multi-set, and sub-batches fingerprint by content + preserved index,
-    /// so repeat/alternating traffic hits per shard instead of serializing
-    /// behind an apply mutex (the pre-PR-5 reason it defaulted off here).
+    /// so repeat/alternating traffic hits per shard.
     LabelService::Options service;
   };
 
@@ -143,15 +115,12 @@ class ShardRouter {
                                       Options options,
                                       SnapshotLoadInfo* load_info = nullptr);
 
-  ShardRouter(ShardRouter&&) = default;
-  /// Shuts down the current tier (drain + join) before adopting the other's.
-  ShardRouter& operator=(ShardRouter&& other);
-
-  /// Shutdown() + join.
+  ShardRouter(ShardRouter&&) noexcept;
+  ShardRouter& operator=(ShardRouter&&) noexcept;
   ~ShardRouter();
 
   /// Labels one batch through the sharded tier. Blocks until every
-  /// sub-batch has been served (or rejected/failed as a whole).
+  /// sub-batch has been served (or failed).
   Result<LabelResponse> Label(const LabelRequest& request);
 
   /// Aggregated router + per-shard counters.
@@ -161,9 +130,8 @@ class ShardRouter {
   /// LabelService::InvalidateCache for when this is required).
   void InvalidateCache();
 
-  /// Closes every shard queue (subsequent Label() calls fail typed), lets
-  /// the workers drain everything already admitted, and joins them.
-  /// Idempotent; called by the destructor.
+  /// Makes every later Label() call fail typed kFailedPrecondition.
+  /// Idempotent.
   void Shutdown();
 
   size_t num_shards() const;

@@ -15,11 +15,10 @@
 
 namespace snorkel {
 
-/// Admission configuration for the cost-aware mode of BoundedQueue. The
-/// defaults reproduce the original count-only queue exactly; turning either
-/// knob on adds overload control without changing the legacy API.
+/// Admission configuration of a BoundedQueue. The defaults give a plain
+/// count-bounded queue; turning either knob on adds overload control.
 struct BoundedQueueOptions {
-  /// Item-count capacity (clamped to >= 1), exactly as before.
+  /// Item-count capacity (clamped to >= 1).
   size_t capacity = 1;
   /// Budget of estimated cost units queued at once; 0 = no cost admission
   /// (count-only). Cost units are caller-defined (the shard server uses
@@ -34,10 +33,9 @@ struct BoundedQueueOptions {
 };
 
 /// A bounded multi-producer / multi-consumer queue with explicit
-/// backpressure — the admission primitive of the sharded serving tier
-/// (shard/shard_router.h, net/shard_server.cc). Capacity is a hard bound:
-/// producers either block until space frees up (`Push`) or get a typed
-/// `kQueueFull` rejection (`TryPush`) so the caller can shed load instead of
+/// backpressure — the admission primitive of a shard server
+/// (net/shard_server.cc). Capacity is a hard bound: a producer that does not
+/// fit gets a typed `kQueueFull` rejection so it can shed load instead of
 /// queueing unboundedly.
 ///
 /// On top of the count bound the queue optionally admits against a COST
@@ -50,17 +48,17 @@ struct BoundedQueueOptions {
 /// service time per cost unit (OnServiced) turns the queued cost into a
 /// `retry_after` estimate for rejections.
 ///
-/// Shutdown is two-phase: `Close()` refuses every subsequent push (and wakes
-/// blocked producers with `kClosed`) while consumers keep draining whatever
-/// was admitted; once the queue is empty, `Pop` returns nullopt and workers
-/// exit. Nothing admitted is ever dropped without being handed back — the
-/// clean-drain contract the router's shutdown path relies on.
+/// Shutdown is two-phase: `Close()` refuses every subsequent push while
+/// consumers keep draining whatever was admitted; once the queue is empty,
+/// `Pop` returns nullopt and workers exit. Nothing admitted is ever dropped
+/// without being handed back — the clean-drain contract the server's
+/// shutdown path relies on.
 template <typename T>
 class BoundedQueue {
  public:
   enum class PushResult {
     kOk = 0,
-    /// The queue is at capacity (TryPush only); the item was NOT consumed.
+    /// The queue is at capacity; the item was NOT consumed.
     kQueueFull,
     /// Close() was called; the item was NOT consumed.
     kClosed,
@@ -70,10 +68,6 @@ class BoundedQueue {
   /// items are served first and shed last; bulk items absorb displacement.
   enum class Lane : uint8_t { kInteractive = 0, kBulk = 1 };
 
-  /// `capacity` is clamped to at least 1 (count-only legacy mode).
-  explicit BoundedQueue(size_t capacity)
-      : BoundedQueue(BoundedQueueOptions{capacity, 0, 0}) {}
-
   explicit BoundedQueue(const BoundedQueueOptions& options)
       : options_(options) {
     if (options_.capacity == 0) options_.capacity = 1;
@@ -82,42 +76,19 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Blocks while the queue is full; moves from `item` only on kOk.
-  /// Count-based legacy admission (interactive lane, zero cost).
-  PushResult Push(T&& item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!closed_ && count() >= options_.capacity) {
-      ++waiting_producers_;
-      not_full_.wait(lock);
-      --waiting_producers_;
-    }
-    if (closed_) return PushResult::kClosed;
-    Enqueue(std::move(item), 0, Lane::kInteractive);
-    return PushResult::kOk;
-  }
-
-  /// Non-blocking count-based admission; moves from `item` only on kOk.
-  PushResult TryPush(T&& item) {
+  /// Non-blocking admission; moves from `item` only on kOk. Admits when both
+  /// the count capacity and (when a budget is configured) the cost budget
+  /// fit. An INTERACTIVE arrival that does not fit displaces queued BULK
+  /// items oldest-first into `*shed` until it does (bulk shed first); a BULK
+  /// arrival never displaces anything and is rejected kQueueFull instead. On
+  /// kQueueFull/kClosed the item is NOT consumed and nothing was shed —
+  /// displacement only happens when it actually makes room (no vain
+  /// shedding).
+  PushResult TryPush(T&& item, uint64_t cost, Lane lane,
+                     std::vector<T>* shed) {
     // Injection site "queue.admit": an injected fault is a capacity
     // rejection — the same typed backpressure a genuinely full queue
     // produces (the item is NOT consumed).
-    if (fault::Point("queue.admit")) return PushResult::kQueueFull;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return PushResult::kClosed;
-    if (count() >= options_.capacity) return PushResult::kQueueFull;
-    Enqueue(std::move(item), 0, Lane::kInteractive);
-    return PushResult::kOk;
-  }
-
-  /// Cost-aware non-blocking admission. Admits when both the count capacity
-  /// and (when a budget is configured) the cost budget fit. An INTERACTIVE
-  /// arrival that does not fit displaces queued BULK items oldest-first into
-  /// `*shed` until it does (bulk shed first); a BULK arrival never displaces
-  /// anything and is rejected kQueueFull instead. On kQueueFull/kClosed the
-  /// item is NOT consumed and nothing was shed — displacement only happens
-  /// when it actually makes room (no vain shedding).
-  PushResult TryPush(T&& item, uint64_t cost, Lane lane,
-                     std::vector<T>* shed) {
     if (fault::Point("queue.admit")) return PushResult::kQueueFull;
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return PushResult::kClosed;
@@ -150,7 +121,6 @@ class BoundedQueue {
         lanes_[1].pop_front();
         cost_used_ -= victim.cost;
         if (shed != nullptr) shed->push_back(std::move(victim.value));
-        NotifyProducer();
       }
     }
     Enqueue(std::move(item), cost, lane);
@@ -159,13 +129,11 @@ class BoundedQueue {
 
   /// Blocks until an item is available or the queue is closed AND drained
   /// (then returns nullopt — the consumer's exit signal). Interactive items
-  /// are served before bulk.
-  std::optional<T> Pop() { return Pop(nullptr); }
-
-  /// Same, with CoDel-style shedding: a bulk item whose sojourn exceeded
-  /// 2× the configured target when popped is appended to `*shed` (for the
-  /// caller to fail typed) and the next item is popped instead. Items are
-  /// never shed without being handed back.
+  /// are served before bulk. CoDel-style shedding: a bulk item whose
+  /// sojourn exceeded 2× the configured target when popped is appended to
+  /// `*shed` (null = never shed) for the caller to fail typed, and the next
+  /// item is popped instead. Items are never shed without being handed
+  /// back.
   std::optional<T> Pop(std::vector<T>* shed) {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
@@ -184,22 +152,11 @@ class BoundedQueue {
     }
   }
 
-  /// Non-blocking pop; nullopt when currently empty (closed or not). The
-  /// router's workers use this to coalesce a run of queued jobs into one
-  /// fused model pass without ever waiting for more traffic.
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (count() == 0) return std::nullopt;
-    Slot slot = Dequeue();
-    return std::move(slot.value);
-  }
-
   /// Refuses all future pushes; consumers drain the remaining items.
   void Close() {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   bool closed() const {
@@ -277,7 +234,6 @@ class BoundedQueue {
     Slot slot = std::move(lane.front());
     lane.pop_front();
     cost_used_ -= slot.cost;
-    NotifyProducer();
     return slot;
   }
 
@@ -294,27 +250,22 @@ class BoundedQueue {
     return static_cast<uint64_t>(sojourn) >= 2 * options_.sojourn_target_ms;
   }
 
-  /// Wake suppression (callers hold mu_): a busy consumer drains via
-  /// TryPop without ever sleeping, so signalling every push would be a
-  /// wasted futex syscall on the hot path. Only threads actually parked in
-  /// wait() are counted, and only then is a signal issued.
+  /// Wake suppression (callers hold mu_): a busy consumer drains without
+  /// ever sleeping, so signalling every push would be a wasted futex
+  /// syscall on the hot path. Only threads actually parked in wait() are
+  /// counted, and only then is a signal issued.
   void NotifyConsumer() {
     if (waiting_consumers_ > 0) not_empty_.notify_one();
-  }
-  void NotifyProducer() {
-    if (waiting_producers_ > 0) not_full_.notify_one();
   }
 
   BoundedQueueOptions options_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   /// lanes_[0] = interactive, lanes_[1] = bulk; served in that order.
   std::deque<Slot> lanes_[2];
   uint64_t cost_used_ = 0;
   double ewma_us_per_cost_ = 0.0;
   size_t waiting_consumers_ = 0;
-  size_t waiting_producers_ = 0;
   bool closed_ = false;
 };
 

@@ -33,6 +33,7 @@
 #include "serve/snapshot.h"
 #include "shard/partitioner.h"
 #include "util/binary_io.h"
+#include "util/cancellation.h"
 #include "util/fault.h"
 
 namespace snorkel {
@@ -1238,6 +1239,31 @@ TEST(RemoteRouterTest, BitwiseParityWithUnshardedUnderConcurrentCallers) {
   ASSERT_EQ(stats.per_shard.size(), 2u);
   EXPECT_TRUE(stats.per_shard[0].healthy);
   EXPECT_TRUE(stats.per_shard[1].healthy);
+}
+
+TEST(RemoteRouterTest, CancelledRequestFailsTypedWithoutAnyAttempt) {
+  TwoShardFleet fleet(64);
+  auto router = RemoteShardRouter::Create(fleet.endpoints, {});
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+
+  // The token is checked before every replica attempt: a request whose
+  // caller already gave up reaches no server and does not fail over.
+  CancelToken cancel;
+  cancel.Cancel();
+  LabelRequest request;
+  request.corpus = &fleet.fx.corpus;
+  request.candidates = &fleet.fx.candidates;
+  request.cancel = &cancel;
+  auto response = router->Label(request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded)
+      << response.status().ToString();
+  RemoteRouterStats stats = router->stats();
+  EXPECT_EQ(stats.failed_requests, 1u);
+  EXPECT_EQ(stats.failovers, 0u);
+  for (const ShardServer& server : fleet.servers) {
+    EXPECT_EQ(server.stats().requests_served, 0u);
+  }
 }
 
 TEST(RemoteRouterTest, DeadShardFailsWholeTypedOrDegradesWhenOptedIn) {

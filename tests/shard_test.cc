@@ -1,7 +1,7 @@
 // Tests for the sharded serving tier (src/shard/): the hash partitioner,
 // the ShardRouter's bitwise equivalence with an unsharded LabelService,
-// backpressure + shutdown-drain semantics, typed per-shard failure
-// propagation, and mmap-vs-copy snapshot loading.
+// cancellation + shutdown semantics, typed per-shard failure propagation,
+// and mmap-vs-copy snapshot loading.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "shard/partitioner.h"
 #include "shard/shard_router.h"
 #include "synth/crossmodal.h"
+#include "util/cancellation.h"
 
 namespace snorkel {
 namespace {
@@ -82,21 +83,22 @@ TEST(PartitionerTest, PartitionCoversEveryCandidateExactlyOnce) {
   ShardFixture fx;
   for (size_t shards : {1u, 2u, 3u, 4u}) {
     CandidatePartitioner partitioner(shards);
-    ShardedBatch batch = partitioner.Partition(fx.candidates);
+    ShardedRefBatch batch =
+        partitioner.PartitionRefs(MakeCandidateRefs(fx.candidates));
     ASSERT_EQ(batch.num_shards(), shards);
     EXPECT_EQ(batch.total, fx.candidates.size());
     std::set<size_t> seen;
     size_t placed = 0;
     for (size_t s = 0; s < shards; ++s) {
-      ASSERT_EQ(batch.shard_candidates[s].size(),
+      ASSERT_EQ(batch.shard_rows[s].size(),
                 batch.shard_to_request[s].size());
-      placed += batch.shard_candidates[s].size();
+      placed += batch.shard_rows[s].size();
       for (size_t t = 0; t < batch.shard_to_request[s].size(); ++t) {
         size_t original = batch.shard_to_request[s][t];
         EXPECT_TRUE(seen.insert(original).second)
             << "candidate " << original << " routed twice";
         // The sub-batch row really is that candidate.
-        EXPECT_EQ(CandidateShardKey(batch.shard_candidates[s][t]),
+        EXPECT_EQ(CandidateShardKey(*batch.shard_rows[s][t].candidate),
                   CandidateShardKey(fx.candidates[original]));
       }
     }
@@ -114,17 +116,18 @@ TEST(PartitionerTest, PlacementIsContentStableAcrossBatchCompositions) {
   for (const Candidate& c : half) {
     EXPECT_EQ(partitioner.ShardOf(c), CandidateShardKey(c) % 4);
   }
-  ShardedBatch full = partitioner.Partition(fx.candidates);
-  ShardedBatch sub = partitioner.Partition(half);
+  ShardedRefBatch full =
+      partitioner.PartitionRefs(MakeCandidateRefs(fx.candidates));
+  ShardedRefBatch sub = partitioner.PartitionRefs(MakeCandidateRefs(half));
   for (size_t s = 0; s < 4; ++s) {
     for (size_t t = 0; t < sub.shard_to_request[s].size(); ++t) {
-      EXPECT_EQ(partitioner.ShardOf(sub.shard_candidates[s][t]), s);
+      EXPECT_EQ(partitioner.ShardOf(*sub.shard_rows[s][t].candidate), s);
     }
   }
   // With >=2 shards and this many distinct candidates, traffic must spread.
   size_t nonempty = 0;
   for (size_t s = 0; s < 4; ++s) {
-    nonempty += full.shard_candidates[s].empty() ? 0 : 1;
+    nonempty += full.shard_rows[s].empty() ? 0 : 1;
   }
   EXPECT_GE(nonempty, 2u);
 }
@@ -229,8 +232,8 @@ TEST(ShardRouterTest, RepeatRequestsHitEveryReplicaCacheAndAggregate) {
 }
 
 TEST(ShardRouterTest, ServeSpansReachRingBeforeLabelReturns) {
-  // The worker closes its shard.serve span and flushes BEFORE Finish()
-  // unblocks the caller, so a drain issued right after Label() returns must
+  // Every shard call closes its shard.serve span and flushes before the
+  // fan-out joins, so a drain issued right after Label() returns must
   // already see every serve-side span — no "moments later" race.
   ShardFixture fx;
   LabelingFunctionSet lfs = fx.MakeLfs();
@@ -252,14 +255,11 @@ TEST(ShardRouterTest, ServeSpansReachRingBeforeLabelReturns) {
     std::vector<obs::Span> spans =
         obs::CollectSpans(trace_id, /*drain=*/true);
     size_t serve_spans = 0;
-    size_t queue_waits = 0;
     for (const obs::Span& span : spans) {
       if (span.name == "shard.serve") ++serve_spans;
-      if (span.name == "shard.queue_wait") ++queue_waits;
     }
-    // One serve + one queue-wait span per shard touched by the request.
+    // One serve span per shard touched by the request.
     EXPECT_EQ(serve_spans, 2u) << "drain after Label() missed serve spans";
-    EXPECT_EQ(queue_waits, 2u);
   }
   obs::SetTracingEnabled(false);
   obs::SetSpanRingCapacityForTest(16384);
@@ -322,7 +322,7 @@ TEST(ShardRouterTest, FleetLatencyHistogramIsExactPerShardSum) {
   }
 }
 
-TEST(ShardRouterTest, ConcurrentCallersStayBitwiseCorrectUnderFusion) {
+TEST(ShardRouterTest, ConcurrentCallersStayBitwiseCorrect) {
   ShardFixture fx(160);
   LabelingFunctionSet lfs = fx.MakeLfs();
   ModelSnapshot snapshot = fx.MakeSnapshot(lfs);
@@ -346,12 +346,9 @@ TEST(ShardRouterTest, ConcurrentCallersStayBitwiseCorrectUnderFusion) {
     expected.push_back(response->posteriors);
   }
 
-  // Hammer the router from 4 threads; a tiny max_fuse-friendly queue makes
-  // worker-side coalescing likely. Every response must still be exact.
+  // Hammer the router from 4 threads; every response must still be exact.
   ShardRouter::Options options;
   options.num_shards = 2;
-  options.queue_capacity = 64;
-  options.max_fuse = 8;
   auto router = ShardRouter::Create(snapshot, fx.MakeLfs(), options);
   ASSERT_TRUE(router.ok());
   constexpr int kThreads = 4;
@@ -381,7 +378,6 @@ TEST(ShardRouterTest, ConcurrentCallersStayBitwiseCorrectUnderFusion) {
   EXPECT_EQ(stats.num_requests,
             static_cast<uint64_t>(kRounds) * batches.size());
   EXPECT_EQ(stats.failed_requests, 0u);
-  EXPECT_EQ(stats.rejected_requests, 0u);
   EXPECT_EQ(stats.per_shard.size(), 2u);
   // Every candidate went somewhere, and both shards saw traffic.
   uint64_t shard_candidates = 0;
@@ -438,9 +434,8 @@ TEST(ShardRouterTest, MoveAssignmentShutsDownTheReplacedTier) {
   request.corpus = &fx.corpus;
   request.candidates = &fx.candidates;
   ASSERT_TRUE(first->Label(request).ok());
-  // Assigning over a LIVE router must drain and join its workers first (a
-  // defaulted move would destroy joinable threads → std::terminate), then
-  // adopt the other tier, which keeps serving.
+  // Assigning over a live router drops its replicas and adopts the other
+  // tier, which keeps serving.
   *first = std::move(*second);
   auto response = first->Label(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -551,7 +546,7 @@ TEST(KClassShardRouterTest, MergedClassPosteriorsBitwiseIdenticalToUnsharded) {
   }
 }
 
-TEST(KClassShardRouterTest, ConcurrentCallersWithFusionStayBitwise) {
+TEST(KClassShardRouterTest, ConcurrentCallersStayBitwise) {
   KClassShardFixture fx(160, 8);
 
   // Batches of 24; expected K-vectors per batch from an unsharded service.
@@ -574,13 +569,10 @@ TEST(KClassShardRouterTest, ConcurrentCallersWithFusionStayBitwise) {
     expected.push_back(response->class_posteriors);
   }
 
-  // Hammer the router from 4 threads with fusion-friendly settings; every
-  // K-vector response must still be exact (fused passes slice at k-row
-  // boundaries).
+  // Hammer the router from 4 threads; every K-vector response must still
+  // be exact.
   ShardRouter::Options options;
   options.num_shards = 2;
-  options.queue_capacity = 64;
-  options.max_fuse = 8;
   auto router = ShardRouter::Create(fx.snapshot, fx.task.lfs, options);
   ASSERT_TRUE(router.ok());
   constexpr int kThreads = 4;
@@ -612,7 +604,7 @@ TEST(KClassShardRouterTest, ConcurrentCallersWithFusionStayBitwise) {
             static_cast<uint64_t>(kRounds) * batches.size());
 }
 
-// ------------------------------------------- backpressure and shutdown --
+// ----------------------------------------- cancellation and shutdown --
 
 /// Base LF set with an explicitly versioned lf_causes, so behaviour
 /// variants below (slow, poisoned) can share its (name, version)
@@ -633,8 +625,7 @@ Label NormalCauses(const CandidateView& view) {
 }
 
 /// Same fingerprint as MakeSwappableLfs(NormalCauses) but stalls per
-/// sub-batch — used to fill queues deterministically enough to observe
-/// rejections and shutdown draining.
+/// sub-batch — keeps requests in flight while the router shuts down.
 LabelingFunctionSet MakeSlowLfs() {
   return MakeSwappableLfs([](const CandidateView& view) -> Label {
     if (view.index() == 0) {
@@ -644,59 +635,11 @@ LabelingFunctionSet MakeSlowLfs() {
   });
 }
 
-TEST(ShardRouterTest, FullQueueRejectsTypedWhenNotBlocking) {
-  ShardFixture fx(64);
-  // Snapshot trained under the normal behaviour; the slow set has identical
-  // (name, version) fingerprints, so the replicas accept it.
-  ModelSnapshot snapshot = fx.MakeSnapshot(MakeSwappableLfs(NormalCauses));
-
-  ShardRouter::Options options;
-  options.num_shards = 1;
-  options.queue_capacity = 1;
-  options.workers_per_shard = 1;
-  options.block_on_full = false;  // Reject policy.
-  options.max_fuse = 1;           // Keep the worker busy one job at a time.
-  auto router = ShardRouter::Create(snapshot, MakeSlowLfs(), options);
-  ASSERT_TRUE(router.ok()) << router.status().ToString();
-
-  constexpr int kCallers = 8;
-  std::atomic<int> ok_count{0};
-  std::atomic<int> rejected_count{0};
-  std::atomic<int> other_count{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kCallers; ++t) {
-    threads.emplace_back([&] {
-      LabelRequest request;
-      request.corpus = &fx.corpus;
-      request.candidates = &fx.candidates;
-      auto response = router->Label(request);
-      if (response.ok()) {
-        ok_count.fetch_add(1);
-      } else if (response.status().code() == StatusCode::kResourceExhausted) {
-        rejected_count.fetch_add(1);
-      } else {
-        other_count.fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  // With a 30ms-per-job worker, capacity 1, and 8 simultaneous callers, at
-  // least one must be admitted and at least one shed. Nothing may fail with
-  // an unexpected code.
-  EXPECT_GE(ok_count.load(), 1);
-  EXPECT_GE(rejected_count.load(), 1);
-  EXPECT_EQ(other_count.load(), 0);
-  EXPECT_EQ(router->stats().rejected_requests,
-            static_cast<uint64_t>(rejected_count.load()));
-}
-
 TEST(ShardRouterTest, ShutdownDrainsInFlightAndRejectsNewRequests) {
   ShardFixture fx(64);
   ModelSnapshot snapshot = fx.MakeSnapshot(MakeSwappableLfs(NormalCauses));
   ShardRouter::Options options;
   options.num_shards = 2;
-  options.queue_capacity = 4;
   auto router = ShardRouter::Create(snapshot, MakeSlowLfs(), options);
   ASSERT_TRUE(router.ok());
 
@@ -743,6 +686,30 @@ TEST(ShardRouterTest, ShutdownDrainsInFlightAndRejectsNewRequests) {
   auto after = router->Label(request);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardRouterTest, CancelledRequestFailsDeadlineExceeded) {
+  ShardFixture fx(64);
+  LabelingFunctionSet lfs = fx.MakeLfs();
+  ModelSnapshot snapshot = fx.MakeSnapshot(lfs);
+  ShardRouter::Options options;
+  options.num_shards = 2;
+  auto router = ShardRouter::Create(snapshot, fx.MakeLfs(), options);
+  ASSERT_TRUE(router.ok());
+
+  // The caller gave up before the request arrived: no replica may serve it
+  // to completion, and the failure is the typed deadline code.
+  CancelToken cancel;
+  cancel.Cancel();
+  LabelRequest request;
+  request.corpus = &fx.corpus;
+  request.candidates = &fx.candidates;
+  request.cancel = &cancel;
+  auto response = router->Label(request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded)
+      << response.status().ToString();
+  EXPECT_EQ(router->stats().failed_requests, 1u);
 }
 
 // -------------------------------------------------- failure propagation --

@@ -323,73 +323,71 @@ TEST(ThreadPoolTest, ZeroThreadsDefaultsToHardware) {
 
 // ---------------------------------------------------------- BoundedQueue --
 
+/// Count-bounded admission through the costed API: zero cost, interactive
+/// lane, nothing to shed.
+template <typename T>
+typename BoundedQueue<T>::PushResult Admit(BoundedQueue<T>& queue, T&& item) {
+  return queue.TryPush(std::move(item), 0,
+                       BoundedQueue<T>::Lane::kInteractive, nullptr);
+}
+
 TEST(BoundedQueueTest, FifoWithinCapacity) {
-  BoundedQueue<int> queue(4);
+  BoundedQueue<int> queue(BoundedQueueOptions{4, 0, 0});
   using PushResult = BoundedQueue<int>::PushResult;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(queue.Push(std::move(i)), PushResult::kOk);
+    EXPECT_EQ(Admit(queue, int{i}), PushResult::kOk);
   }
   EXPECT_EQ(queue.size(), 4u);
   for (int i = 0; i < 4; ++i) {
-    auto item = queue.Pop();
+    auto item = queue.Pop(nullptr);
     ASSERT_TRUE(item.has_value());
     EXPECT_EQ(*item, i);
   }
-  EXPECT_EQ(queue.TryPop(), std::nullopt);
+  EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(BoundedQueueTest, TryPushRejectsWhenFullWithoutConsuming) {
-  BoundedQueue<std::unique_ptr<int>> queue(1);
+  BoundedQueue<std::unique_ptr<int>> queue(BoundedQueueOptions{1, 0, 0});
   using PushResult = BoundedQueue<std::unique_ptr<int>>::PushResult;
   auto first = std::make_unique<int>(1);
-  EXPECT_EQ(queue.TryPush(std::move(first)), PushResult::kOk);
+  EXPECT_EQ(Admit(queue, std::move(first)), PushResult::kOk);
 
   // kQueueFull — the typed backpressure rejection — must leave the item
   // with the caller, who still owns the associated work.
   auto second = std::make_unique<int>(2);
-  EXPECT_EQ(queue.TryPush(std::move(second)), PushResult::kQueueFull);
+  EXPECT_EQ(Admit(queue, std::move(second)), PushResult::kQueueFull);
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(*second, 2);
 
   queue.Close();
-  EXPECT_EQ(queue.TryPush(std::move(second)), PushResult::kClosed);
+  EXPECT_EQ(Admit(queue, std::move(second)), PushResult::kClosed);
   ASSERT_NE(second, nullptr);
 }
 
-TEST(BoundedQueueTest, CloseUnblocksProducerAndDrainsConsumers) {
-  BoundedQueue<int> queue(1);
+TEST(BoundedQueueTest, CloseDrainsAdmittedItemsThenSignalsExit) {
+  BoundedQueue<int> queue(BoundedQueueOptions{1, 0, 0});
   using PushResult = BoundedQueue<int>::PushResult;
-  EXPECT_EQ(queue.Push(1), PushResult::kOk);
-
-  // A producer blocked on the full queue must wake with kClosed.
-  std::atomic<int> blocked_result{-1};
-  std::thread producer([&] {
-    int item = 2;
-    blocked_result.store(static_cast<int>(queue.Push(std::move(item))));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(Admit(queue, 1), PushResult::kOk);
   queue.Close();
-  producer.join();
-  EXPECT_EQ(blocked_result.load(), static_cast<int>(PushResult::kClosed));
 
   // Items admitted before Close still drain; then Pop signals exit.
-  auto drained = queue.Pop();
+  auto drained = queue.Pop(nullptr);
   ASSERT_TRUE(drained.has_value());
   EXPECT_EQ(*drained, 1);
-  EXPECT_EQ(queue.Pop(), std::nullopt);
+  EXPECT_EQ(queue.Pop(nullptr), std::nullopt);
 }
 
 TEST(BoundedQueueTest, CloseWakesConsumersBlockedOnEmptyQueue) {
   // The shutdown path the ShardServer relies on: workers blocked in Pop()
   // on an EMPTY queue must wake with nullopt when the acceptor closes the
   // queue — no item ever arrives to nudge them.
-  BoundedQueue<int> queue(4);
+  BoundedQueue<int> queue(BoundedQueueOptions{4, 0, 0});
   constexpr int kWaiters = 3;
   std::atomic<int> woken{0};
   std::vector<std::thread> waiters;
   for (int i = 0; i < kWaiters; ++i) {
     waiters.emplace_back([&] {
-      auto item = queue.Pop();
+      auto item = queue.Pop(nullptr);
       if (!item.has_value()) woken.fetch_add(1);
     });
   }
@@ -403,8 +401,7 @@ TEST(BoundedQueueTest, CloseWakesConsumersBlockedOnEmptyQueue) {
   // Push after close is the typed kClosed, never a silent enqueue.
   using PushResult = BoundedQueue<int>::PushResult;
   int late = 9;
-  EXPECT_EQ(queue.Push(std::move(late)), PushResult::kClosed);
-  EXPECT_EQ(queue.TryPush(std::move(late)), PushResult::kClosed);
+  EXPECT_EQ(Admit(queue, std::move(late)), PushResult::kClosed);
   EXPECT_EQ(queue.size(), 0u);
 }
 
@@ -412,7 +409,7 @@ TEST(BoundedQueueTest, ConcurrentProducersConsumersDeliverExactlyOnce) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
   constexpr int kPerProducer = 250;
-  BoundedQueue<int> queue(8);
+  BoundedQueue<int> queue(BoundedQueueOptions{8, 0, 0});
   using PushResult = BoundedQueue<int>::PushResult;
 
   std::vector<std::atomic<int>> seen(kProducers * kPerProducer);
@@ -420,15 +417,20 @@ TEST(BoundedQueueTest, ConcurrentProducersConsumersDeliverExactlyOnce) {
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        int item = p * kPerProducer + i;
-        ASSERT_EQ(queue.Push(std::move(item)), PushResult::kOk);
+        // Admission never blocks: a producer facing a full queue retries.
+        PushResult pushed;
+        while ((pushed = Admit(queue, p * kPerProducer + i)) ==
+               PushResult::kQueueFull) {
+          std::this_thread::yield();
+        }
+        ASSERT_EQ(pushed, PushResult::kOk);
       }
     });
   }
   std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&] {
-      while (auto item = queue.Pop()) seen[*item]++;
+      while (auto item = queue.Pop(nullptr)) seen[*item]++;
     });
   }
   for (auto& t : threads) t.join();
@@ -451,7 +453,7 @@ TEST(BoundedQueueTest, CostBudgetBoundsAdmission) {
                           &shed),
             PushResult::kOk);
   EXPECT_EQ(queue.cost_used(), 12u);
-  ASSERT_TRUE(queue.Pop().has_value());
+  ASSERT_TRUE(queue.Pop(nullptr).has_value());
   EXPECT_EQ(queue.cost_used(), 0u);
 
   // Within budget admits; the push that would exceed it is rejected typed,
@@ -487,7 +489,7 @@ TEST(BoundedQueueTest, InteractiveDisplacesBulkOldestFirst) {
   EXPECT_EQ(shed[0], 10);
   EXPECT_EQ(shed[1], 11);
   // The interactive item is served (it is the only one left).
-  auto popped = queue.Pop();
+  auto popped = queue.Pop(nullptr);
   ASSERT_TRUE(popped.has_value());
   EXPECT_EQ(*popped, 20);
 }
@@ -511,7 +513,7 @@ TEST(BoundedQueueTest, NoVainSheddingWhenDisplacementCannotHelp) {
   EXPECT_TRUE(shed.empty());
   EXPECT_EQ(queue.cost_used(), 9u);
   // Interactive never displaces interactive: same rejection with no bulk.
-  ASSERT_TRUE(queue.Pop().has_value());  // bulk? no — interactive first.
+  ASSERT_TRUE(queue.Pop(nullptr).has_value());  // bulk? no — interactive first.
 }
 
 TEST(BoundedQueueTest, InteractiveLaneServedBeforeBulk) {
@@ -526,8 +528,8 @@ TEST(BoundedQueueTest, InteractiveLaneServedBeforeBulk) {
       queue.TryPush(std::move(interactive), 1, Queue::Lane::kInteractive,
                     &shed),
       PushResult::kOk);
-  auto first = queue.Pop();
-  auto second = queue.Pop();
+  auto first = queue.Pop(nullptr);
+  auto second = queue.Pop(nullptr);
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*first, 2);  // Interactive jumps the earlier bulk item.
@@ -607,7 +609,7 @@ TEST(BoundedQueueTest, ConcurrentCostedProducersNeverExceedBudget) {
     });
   }
   std::thread consumer([&] {
-    while (auto item = queue.Pop()) {
+    while (auto item = queue.Pop(nullptr)) {
       // The admitted cost may transiently hold ONE over-budget item (the
       // empty-queue admission rule) but never stacks two over-budget
       // admissions: with every item costing 3 against budget 9, used cost
@@ -888,21 +890,21 @@ TEST(FaultTest, ParseSpecRoundTripsAndRejectsMalformed) {
 
 TEST(FaultTest, BoundedQueueAdmissionSiteInjectsTypedBackpressure) {
   FaultGuard guard;
-  BoundedQueue<std::unique_ptr<int>> queue(8);
+  BoundedQueue<std::unique_ptr<int>> queue(BoundedQueueOptions{8, 0, 0});
   using PushResult = BoundedQueue<std::unique_ptr<int>>::PushResult;
   fault::Schedule schedule;
   schedule.kind = fault::Schedule::Kind::kFailNth;
   schedule.n = 2;
   ASSERT_TRUE(fault::Arm("queue.admit", schedule).ok());
   auto one = std::make_unique<int>(1);
-  EXPECT_EQ(queue.TryPush(std::move(one)), PushResult::kOk);
+  EXPECT_EQ(Admit(queue, std::move(one)), PushResult::kOk);
   auto two = std::make_unique<int>(2);
   // 2nd admission: injected kQueueFull — and the item is NOT consumed,
   // exactly like a genuinely full queue.
-  EXPECT_EQ(queue.TryPush(std::move(two)), PushResult::kQueueFull);
+  EXPECT_EQ(Admit(queue, std::move(two)), PushResult::kQueueFull);
   ASSERT_NE(two, nullptr);
   EXPECT_EQ(*two, 2);
-  EXPECT_EQ(queue.TryPush(std::move(two)), PushResult::kOk);
+  EXPECT_EQ(Admit(queue, std::move(two)), PushResult::kOk);
   EXPECT_EQ(queue.size(), 2u);
 }
 
