@@ -10,6 +10,7 @@
 #include "core/advantage.h"
 #include "core/generative_model.h"
 #include "core/majority_vote.h"
+#include "core/optimizer.h"
 #include "core/structure_learner.h"
 #include "lf/applier.h"
 #include "synth/relation_task.h"
@@ -116,6 +117,32 @@ void BM_StructureLearning(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StructureLearning)->Arg(1000)->Arg(4000);
+
+/// Algorithm 1 end to end (Ã*, the warm-started ε sweep and the cold re-fit
+/// at ε*) on the CDR analog's train split, at the structure settings of the
+/// `train` benchmark workload. Unlike SharedMatrix(), whose rows are nearly
+/// all distinct, CDR's 4,000 sampled rows fold into a few hundred vote
+/// patterns, so this tracks the duplicate-heavy path. The fit runs on a
+/// worker thread, so iterations are timed by wall clock.
+void BM_OptimizerChooseCdr(benchmark::State& state) {
+  static const LabelMatrix* train = [] {
+    auto task = MakeCdrTask(42, 1.0);
+    auto matrix = LFApplier(LFApplier::Options{1, 2})
+                      .Apply(task->lfs, task->corpus, task->candidates);
+    return new LabelMatrix(matrix->SelectRows(task->train_idx));
+  }();
+  OptimizerOptions options;
+  options.eta = 0.05;
+  options.structure.epochs = 25;
+  options.structure.sweep_epochs = 10;
+  options.structure.max_rows = 4000;
+  options.structure.num_threads = 1;
+  ModelingStrategyOptimizer optimizer(options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(optimizer.Choose(*train).ok());
+  }
+}
+BENCHMARK(BM_OptimizerChooseCdr)->UseRealTime();
 
 /// The optimizer's Ã* heuristic is a single cheap pass over Λ.
 void BM_PredictedAdvantage(benchmark::State& state) {

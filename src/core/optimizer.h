@@ -45,9 +45,16 @@ struct OptimizerDecision {
   double predicted_advantage = 0.0;
   /// Selected ε (0 when strategy is MV or structure search is disabled).
   double chosen_epsilon = 0.0;
-  /// Correlation pairs to model at chosen_epsilon.
+  /// Correlation pairs to model at chosen_epsilon, from a cold re-fit at
+  /// that ε for StructureLearnerOptions::epochs. This set can be larger
+  /// than the sweep's count at the elbow (see `sweep`).
   std::vector<CorrelationPair> correlations;
-  /// The full (ε, #correlations) sweep, ordered by descending ε.
+  /// The full (ε, #correlations) sweep, ordered by descending ε. It is
+  /// warm-started with only sweep_epochs per ε step, so its counts are
+  /// under-converged and used only to place the elbow: with the `train`
+  /// benchmark's settings (eta 0.05, epochs 25, sweep_epochs 10) the elbow
+  /// point can count 0 while `correlations` holds 7 pairs (an EHR task,
+  /// ε* = 0.20) or 15 (a CDR task, ε* = 0.15).
   std::vector<StructureSweepPoint> sweep;
 };
 

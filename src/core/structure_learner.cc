@@ -4,7 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <set>
+#include <unordered_map>
 
+#include "util/hash.h"
 #include "util/math_util.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -27,12 +29,37 @@ struct ThetaState {
         lab(n, 0.0) {}
 };
 
-/// Subsampled view of the label matrix with per-row vote counts. Rows are
-/// CSR spans into the (caller-owned) matrix — no copying.
+/// Subsampled view of the label matrix, folded into distinct vote patterns.
+/// Each pattern is a CSR span into the (caller-owned) matrix — the first
+/// sampled row with that pattern, so no row is copied — with its
+/// multiplicity and vote counts. Patterns keep the order of their first
+/// occurrence: when every sampled row is distinct, every weight is 1 and
+/// the fit visits the rows exactly as an unfolded sample would.
 struct Workset {
   std::vector<LabelMatrix::RowSpan> rows;
+  std::vector<double> weight;
   std::vector<int> c_pos;
   std::vector<int> c_neg;
+  /// Sampled rows (the sum of the weights): the gradient normalizer.
+  double num_sampled = 0.0;
+};
+
+struct RowSpanHash {
+  size_t operator()(const LabelMatrix::RowSpan& row) const {
+    uint64_t h = row.size();
+    for (const auto& e : row) {
+      h = HashCombine(h, (uint64_t{e.lf} << 32) |
+                             static_cast<uint32_t>(e.label));
+    }
+    return static_cast<size_t>(h);
+  }
+};
+
+struct RowSpanEqual {
+  bool operator()(const LabelMatrix::RowSpan& a,
+                  const LabelMatrix::RowSpan& b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
 };
 
 Workset BuildWorkset(const LabelMatrix& matrix, size_t max_rows,
@@ -47,11 +74,18 @@ Workset BuildWorkset(const LabelMatrix& matrix, size_t max_rows,
     indices.resize(m);
     for (size_t i = 0; i < m; ++i) indices[i] = i;
   }
-  ws.rows.reserve(indices.size());
-  ws.c_pos.reserve(indices.size());
-  ws.c_neg.reserve(indices.size());
+  ws.num_sampled = static_cast<double>(indices.size());
+  // Rows are sorted by LF, so equal patterns have equal spans.
+  std::unordered_map<LabelMatrix::RowSpan, size_t, RowSpanHash, RowSpanEqual>
+      pattern_of;
+  pattern_of.reserve(indices.size());
   for (size_t i : indices) {
     LabelMatrix::RowSpan row = matrix.row(i);
+    auto [it, inserted] = pattern_of.emplace(row, ws.rows.size());
+    if (!inserted) {
+      ws.weight[it->second] += 1.0;
+      continue;
+    }
     int cp = 0;
     int cn = 0;
     for (const auto& e : row) {
@@ -62,6 +96,7 @@ Workset BuildWorkset(const LabelMatrix& matrix, size_t max_rows,
       }
     }
     ws.rows.push_back(row);
+    ws.weight.push_back(1.0);
     ws.c_pos.push_back(cp);
     ws.c_neg.push_back(cn);
   }
@@ -69,13 +104,29 @@ Workset BuildWorkset(const LabelMatrix& matrix, size_t max_rows,
 }
 
 /// Runs `epochs` proximal-gradient epochs on LF j's conditional
-/// p(Λ_j | Λ_{\j}) with ℓ1 penalty `epsilon` on the pair weights.
+/// p(Λ_j | Λ_{\j}) with ℓ1 penalty `epsilon` on the pair weights. Each
+/// pattern's gradient terms count once per sampled row it stands for.
 void FitConditional(const Workset& ws, size_t n, size_t j, double epsilon,
                     int epochs, double lr, double mean_acc_weight,
                     ThetaState* state) {
   std::vector<double>& theta = state->pair_weights[j];
-  double m = static_cast<double>(ws.rows.size());
+  const double m = ws.num_sampled;
+  const size_t num_patterns = ws.rows.size();
   std::vector<double> grad(n, 0.0);
+
+  // LF j's own vote and the pilot posterior over the latent label, which
+  // excludes that vote, do not depend on θ: compute them once per pattern.
+  // λ slots are ordered [abstain, +1, -1].
+  std::vector<int> obs_idx(num_patterns, 0);
+  std::vector<double> pi_pos(num_patterns);
+  for (size_t i = 0; i < num_patterns; ++i) {
+    for (const auto& e : ws.rows[i]) {
+      if (e.lf == j) obs_idx[i] = e.label > 0 ? 1 : 2;
+    }
+    int cp = ws.c_pos[i] - (obs_idx[i] == 1 ? 1 : 0);
+    int cn = ws.c_neg[i] - (obs_idx[i] == 2 ? 1 : 0);
+    pi_pos[i] = Sigmoid(mean_acc_weight * static_cast<double>(cp - cn));
+  }
 
   for (int epoch = 0; epoch < epochs; ++epoch) {
     std::fill(grad.begin(), grad.end(), 0.0);
@@ -87,17 +138,14 @@ void FitConditional(const Workset& ws, size_t n, size_t j, double epsilon,
       if (k != j) theta_total += theta[k];
     }
 
-    for (size_t i = 0; i < ws.rows.size(); ++i) {
+    for (size_t i = 0; i < num_patterns; ++i) {
       const auto& row = ws.rows[i];
-      Label obs = kAbstain;
+      const double w = ws.weight[i];
       double t_pos = 0.0;
       double t_neg = 0.0;
       double sum_entries = 0.0;
       for (const auto& e : row) {
-        if (e.lf == j) {
-          obs = e.label;
-          continue;
-        }
+        if (e.lf == j) continue;
         sum_entries += theta[e.lf];
         if (e.label > 0) {
           t_pos += theta[e.lf];
@@ -107,15 +155,10 @@ void FitConditional(const Workset& ws, size_t n, size_t j, double epsilon,
       }
       double t_abstain = theta_total - sum_entries;
 
-      // Pilot posterior over the latent label, excluding LF j's own vote.
-      int cp = ws.c_pos[i] - (obs > 0 ? 1 : 0);
-      int cn = ws.c_neg[i] - (obs < 0 ? 1 : 0);
-      double pi_pos = Sigmoid(mean_acc_weight * static_cast<double>(cp - cn));
-
-      // q(λ | y) for y in {+1, -1}, λ ordered [abstain, +1, -1].
+      // q(λ | y) for y in {+1, -1}.
+      const int obs = obs_idx[i];
       double q[2][3];
       double r[2];
-      int obs_idx = obs == kAbstain ? 0 : (obs > 0 ? 1 : 2);
       for (int yi = 0; yi < 2; ++yi) {
         double acc_pos = yi == 0 ? state->acc[j] : 0.0;
         double acc_neg = yi == 0 ? 0.0 : state->acc[j];
@@ -130,7 +173,7 @@ void FitConditional(const Workset& ws, size_t n, size_t j, double epsilon,
         q[yi][0] = e0 / z;
         q[yi][1] = ep / z;
         q[yi][2] = en / z;
-        r[yi] = (yi == 0 ? pi_pos : 1.0 - pi_pos) * q[yi][obs_idx];
+        r[yi] = (yi == 0 ? pi_pos[i] : 1.0 - pi_pos[i]) * q[yi][obs];
       }
       double rz = r[0] + r[1];
       if (rz <= 0.0) continue;
@@ -140,20 +183,20 @@ void FitConditional(const Workset& ws, size_t n, size_t j, double epsilon,
       // G_{λ'} = Σ_y r(y) [1{obs = λ'} - q(λ' | y)] for λ' in the 3 slots.
       double g[3];
       for (int s = 0; s < 3; ++s) {
-        g[s] = r[0] * ((obs_idx == s ? 1.0 : 0.0) - q[0][s]) +
-               r[1] * ((obs_idx == s ? 1.0 : 0.0) - q[1][s]);
+        g[s] = r[0] * ((obs == s ? 1.0 : 0.0) - q[0][s]) +
+               r[1] * ((obs == s ? 1.0 : 0.0) - q[1][s]);
       }
-      grad_base += g[0];
+      grad_base += w * g[0];
       for (const auto& e : row) {
         if (e.lf == j) continue;
         int s = e.label > 0 ? 1 : 2;
-        grad[e.lf] += g[s] - g[0];
+        grad[e.lf] += w * (g[s] - g[0]);
       }
       // Accuracy factor fires when λ = y; the propensity factor when λ != ∅.
-      grad_acc += r[0] * ((obs > 0 ? 1.0 : 0.0) - q[0][1]) +
-                  r[1] * ((obs < 0 ? 1.0 : 0.0) - q[1][2]);
-      grad_lab += r[0] * ((obs != kAbstain ? 1.0 : 0.0) - (1.0 - q[0][0])) +
-                  r[1] * ((obs != kAbstain ? 1.0 : 0.0) - (1.0 - q[1][0]));
+      grad_acc += w * (r[0] * ((obs == 1 ? 1.0 : 0.0) - q[0][1]) +
+                       r[1] * ((obs == 2 ? 1.0 : 0.0) - q[1][2]));
+      grad_lab += w * (r[0] * ((obs != 0 ? 1.0 : 0.0) - (1.0 - q[0][0])) +
+                       r[1] * ((obs != 0 ? 1.0 : 0.0) - (1.0 - q[1][0])));
     }
 
     for (size_t k = 0; k < n; ++k) {

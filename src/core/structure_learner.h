@@ -26,7 +26,10 @@ struct StructureLearnerOptions {
   double mean_acc_weight = 1.0;
   /// Structure learning subsamples rows beyond this cap; the estimator is a
   /// per-LF regression, so a few thousand rows suffice (the paper reports
-  /// 15 s for 100 LFs x 10k points vs 45 min for full MLE).
+  /// 15 s for 100 LFs x 10k points vs 45 min for full MLE). Identical
+  /// sampled rows are folded into one weighted vote pattern, so an epoch
+  /// costs O(distinct patterns in the sample), at most max_rows: a few
+  /// hundred on the relation-task analogs, whose LFs are sparse.
   size_t max_rows = 8000;
   /// Worker threads for the per-LF conditional fits, which are independent
   /// regressions and run concurrently: 0 uses the process-wide

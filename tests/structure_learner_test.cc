@@ -4,6 +4,9 @@
 
 #include <set>
 
+#include "core/optimizer.h"
+#include "lf/applier.h"
+#include "synth/relation_task.h"
 #include "synth/synthetic_matrix.h"
 
 namespace snorkel {
@@ -142,6 +145,100 @@ TEST(StructureLearnerTest, DeterministicGivenSeed) {
   auto b = learner.LearnStructure(data->matrix, 0.15);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(AsSet(*a), AsSet(*b));
+}
+
+TEST(StructureLearnerTest, ThreadCountInvariant) {
+  // Each LF's conditional writes only its own slice of the optimization
+  // state, so the worker count cannot change a single bit of the result.
+  auto data = SyntheticMatrixGenerator::GenerateClustered(
+      1500, 2, 3, 4, 0.75, 0.5, 0.85, 9);
+  ASSERT_TRUE(data.ok());
+  const std::vector<double> epsilons = {0.3, 0.2, 0.15, 0.1, 0.05};
+  std::vector<std::vector<size_t>> counts;
+  std::vector<std::set<std::pair<size_t, size_t>>> pairs;
+  for (int threads : {1, 2, 8}) {
+    StructureLearnerOptions options;
+    options.num_threads = threads;
+    StructureLearner learner(options);
+    auto sweep = learner.Sweep(data->matrix, epsilons);
+    auto learned = learner.LearnStructure(data->matrix, 0.15);
+    ASSERT_TRUE(sweep.ok() && learned.ok());
+    std::vector<size_t> c;
+    for (const auto& p : *sweep) c.push_back(p.num_correlations);
+    counts.push_back(c);
+    pairs.push_back(AsSet(*learned));
+  }
+  EXPECT_FALSE(pairs[0].empty());
+  for (size_t t = 1; t < counts.size(); ++t) {
+    EXPECT_EQ(counts[t], counts[0]);
+    EXPECT_EQ(pairs[t], pairs[0]);
+  }
+}
+
+TEST(StructureLearnerTest, RepeatedRowsLearnSameStructure) {
+  // Repeating every row 4x changes each vote pattern's multiplicity, not
+  // the per-row average the conditionals fit, so the structure must not
+  // move.
+  auto data = SyntheticMatrixGenerator::GenerateClustered(
+      500, 2, 3, 4, 0.75, 0.5, 0.9, 10);
+  ASSERT_TRUE(data.ok());
+  const LabelMatrix& once = data->matrix;
+  std::vector<size_t> tiled;
+  for (int copy = 0; copy < 4; ++copy) {
+    for (size_t i = 0; i < once.num_rows(); ++i) tiled.push_back(i);
+  }
+  LabelMatrix repeated = once.SelectRows(tiled);
+  ASSERT_EQ(repeated.num_rows(), 2000u);
+
+  StructureLearnerOptions options;
+  options.max_rows = 2000;  // No subsampling: every copy is fitted.
+  StructureLearner learner(options);
+  size_t total = 0;
+  for (double eps : {0.1, 0.15, 0.2}) {
+    auto a = learner.LearnStructure(once, eps);
+    auto b = learner.LearnStructure(repeated, eps);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(AsSet(*a), AsSet(*b)) << "epsilon " << eps;
+    total += a->size();
+  }
+  EXPECT_GT(total, 0u);
+}
+
+TEST(StructureLearnerTest, SweepMatchesPinnedCdrDecision) {
+  // Algorithm 1 on the CDR analog at the benchmark's structure settings.
+  // The expected sweep, ε* and correlation set were recorded from the
+  // row-at-a-time learner, before duplicate vote patterns were folded.
+  auto task = MakeCdrTask(42, 0.5);
+  ASSERT_TRUE(task.ok());
+  LFApplier applier(LFApplier::Options{1, 2});
+  auto matrix = applier.Apply(task->lfs, task->corpus, task->candidates);
+  ASSERT_TRUE(matrix.ok());
+  LabelMatrix train = matrix->SelectRows(task->train_idx);
+
+  OptimizerOptions options;
+  options.eta = 0.05;
+  options.structure.epochs = 25;
+  options.structure.sweep_epochs = 10;
+  options.structure.max_rows = 4000;
+  options.structure.num_threads = 1;
+  auto decision = ModelingStrategyOptimizer(options).Choose(train);
+  ASSERT_TRUE(decision.ok());
+  ASSERT_EQ(decision->strategy, ModelingStrategy::kGenerativeModel);
+
+  const std::vector<size_t> expected_counts = {0, 0, 0, 0, 0,
+                                               0, 0, 0, 2, 18};
+  ASSERT_EQ(decision->sweep.size(), expected_counts.size());
+  for (size_t i = 0; i < expected_counts.size(); ++i) {
+    EXPECT_DOUBLE_EQ(decision->sweep[i].epsilon, 0.05 * (10 - i));
+    EXPECT_EQ(decision->sweep[i].num_correlations, expected_counts[i])
+        << "sweep point " << i;
+  }
+  EXPECT_DOUBLE_EQ(decision->chosen_epsilon, 0.15);
+  const std::set<std::pair<size_t, size_t>> expected_pairs = {
+      {0, 1},  {0, 2},  {0, 9},   {0, 30},  {1, 2},
+      {1, 9},  {1, 30}, {2, 9},   {2, 30},  {3, 4},
+      {9, 30}, {13, 20}, {14, 20}, {20, 21}, {23, 31}};
+  EXPECT_EQ(AsSet(decision->correlations), expected_pairs);
 }
 
 }  // namespace
