@@ -2,6 +2,10 @@
 // claims: the MV shortcut vs generative-model training (up to 1.8x per
 // pipeline execution), the linear cost of correlations in the Gibbs
 // sampler, structure-learning sweep cost, and LF application throughput.
+//
+// Benchmarks whose body runs on worker-pool threads are timed by wall clock
+// (UseRealTime): the main thread's CPU time is near zero while it waits,
+// which would both misreport them and inflate their iteration counts.
 
 #include <benchmark/benchmark.h>
 
@@ -48,7 +52,7 @@ void BM_GenerativeModelFitExact(benchmark::State& state) {
     benchmark::DoNotOptimize(gen.Fit(data.matrix).ok());
   }
 }
-BENCHMARK(BM_GenerativeModelFitExact)->Arg(50)->Arg(150);
+BENCHMARK(BM_GenerativeModelFitExact)->Arg(50)->Arg(150)->UseRealTime();
 
 /// §3.2: Gibbs-sampled training cost grows with the number of modeled
 /// correlations (linear overhead per correlation).
@@ -66,7 +70,11 @@ void BM_GenerativeModelFitCorrelated(benchmark::State& state) {
     benchmark::DoNotOptimize(gen.Fit(data.matrix, correlations).ok());
   }
 }
-BENCHMARK(BM_GenerativeModelFitCorrelated)->Arg(0)->Arg(10)->Arg(40);
+BENCHMARK(BM_GenerativeModelFitCorrelated)
+    ->Arg(0)
+    ->Arg(10)
+    ->Arg(40)
+    ->UseRealTime();
 
 /// Same correlated fit at explicit worker-pool sizes. Fitted weights are
 /// bitwise-identical across these arms (fixed shard grain + per-chain RNG
@@ -86,7 +94,11 @@ void BM_GenerativeModelFitCorrelatedThreads(benchmark::State& state) {
     benchmark::DoNotOptimize(gen.Fit(data.matrix, correlations).ok());
   }
 }
-BENCHMARK(BM_GenerativeModelFitCorrelatedThreads)->Arg(1)->Arg(2)->Arg(8);
+BENCHMARK(BM_GenerativeModelFitCorrelatedThreads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(8)
+    ->UseRealTime();
 
 /// Posterior inference p(y | Λ) over the full matrix — the serving hot path
 /// behind LabelService.
@@ -116,7 +128,7 @@ void BM_StructureLearning(benchmark::State& state) {
     benchmark::DoNotOptimize(learner.LearnStructure(data.matrix, 0.2).ok());
   }
 }
-BENCHMARK(BM_StructureLearning)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_StructureLearning)->Arg(1000)->Arg(4000)->UseRealTime();
 
 /// Algorithm 1 end to end (Ã*, the warm-started ε sweep and the cold re-fit
 /// at ε*) on the CDR analog's train split, at the structure settings of the
@@ -166,7 +178,7 @@ void BM_LfApplication(benchmark::State& state) {
         applier.Apply(task->lfs, task->corpus, task->candidates).ok());
   }
 }
-BENCHMARK(BM_LfApplication)->Arg(1)->Arg(2);
+BENCHMARK(BM_LfApplication)->Arg(1)->Arg(2)->UseRealTime();
 
 /// The interpreted baseline for BM_LfApplication (which, like production
 /// serving, dispatches compilable LFs through lf/compiled/): same task, same
@@ -186,7 +198,7 @@ void BM_LfApplicationInterpreted(benchmark::State& state) {
         applier.Apply(task->lfs, task->corpus, task->candidates).ok());
   }
 }
-BENCHMARK(BM_LfApplicationInterpreted)->Arg(1)->Arg(2);
+BENCHMARK(BM_LfApplicationInterpreted)->Arg(1)->Arg(2)->UseRealTime();
 
 }  // namespace
 }  // namespace snorkel

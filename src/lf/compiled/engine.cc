@@ -1,8 +1,6 @@
 #include "lf/compiled/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <string>
 #include <utility>
 
@@ -17,196 +15,37 @@ uint64_t PackInterval(uint32_t a, uint32_t b) {
   return (static_cast<uint64_t>(a) << 32) | b;
 }
 
-size_t ScanBytes(const LfSentenceScan& scan) {
-  return sizeof(LfSentenceScan) +
-         scan.hit_offsets.capacity() * sizeof(uint32_t) +
-         scan.hits.capacity() * sizeof(uint64_t) +
-         scan.any_bits.capacity() * sizeof(uint64_t) + 64;
-}
-
-/// Process-wide scan cache: (program, corpus identity) -> per-sentence
-/// automaton scans and per-doc any-hit bitsets. Entries pin their program
-/// (so a program address can never be reused while its scans are cached)
-/// and key corpora by Corpus::identity() (fresh per object and bumped on
-/// mutation, so a cached scan can never describe stale or aliased text).
-/// Whole (program, corpus) entries are evicted LRU once the byte budget is
-/// exceeded; in-flight batches keep shared_ptrs to the scans they use, so
-/// eviction never invalidates a running request.
-constexpr size_t kScanCacheBudgetBytes = 64u << 20;
-
-struct ScanCacheEntry {
-  std::shared_ptr<const CompiledLfProgram> program;  // pin
-  std::mutex mu;
-  // (doc << 32) | sentence -> scan; guarded by mu.
-  std::unordered_map<uint64_t, std::shared_ptr<const LfSentenceScan>> scans;
-  // doc -> OR of that doc's any_bits blocks; guarded by mu.
-  std::unordered_map<uint32_t,
-                     std::shared_ptr<const std::vector<uint64_t>>> doc_bits;
-  size_t bytes = 0;      // guarded by mu
-  bool evicted = false;  // guarded by mu; stops byte accounting after evict
-  uint64_t tick = 0;     // guarded by the cache-wide mutex
-};
-
-class ScanCache {
- public:
-  static ScanCache& Instance() {
-    static ScanCache* cache = new ScanCache();
-    return *cache;
-  }
-
-  std::shared_ptr<ScanCacheEntry> GetEntry(
-      uint64_t corpus_identity,
-      const std::shared_ptr<const CompiledLfProgram>& program) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] =
-        entries_.try_emplace(Key{corpus_identity, program.get()});
-    if (inserted) {
-      it->second = std::make_shared<ScanCacheEntry>();
-      it->second->program = program;
-    }
-    it->second->tick = ++tick_;
-    return it->second;
-  }
-
-  /// Accounts freshly inserted scan bytes; evicts LRU entries over budget.
-  /// Call with no entry mutex held.
-  void Credit(size_t delta) {
-    if (total_bytes_.fetch_add(delta, std::memory_order_relaxed) + delta <=
-        kScanCacheBudgetBytes) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    while (total_bytes_.load(std::memory_order_relaxed) >
-               kScanCacheBudgetBytes &&
-           entries_.size() > 1) {
-      auto victim = entries_.begin();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second->tick < victim->second->tick) victim = it;
-      }
-      size_t freed;
-      {
-        std::lock_guard<std::mutex> entry_lock(victim->second->mu);
-        freed = victim->second->bytes;
-        victim->second->evicted = true;
-      }
-      total_bytes_.fetch_sub(freed, std::memory_order_relaxed);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      entries_.erase(victim);
-    }
-  }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
-    total_bytes_.store(0, std::memory_order_relaxed);
-  }
-
-  CompiledScanCacheStats Stats() {
-    CompiledScanCacheStats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
-    stats.misses = misses_.load(std::memory_order_relaxed);
-    stats.evictions = evictions_.load(std::memory_order_relaxed);
-    stats.bytes = total_bytes_.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
-    stats.entries = entries_.size();
-    return stats;
-  }
-
-  void CountHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
-  void CountMiss() { misses_.fetch_add(1, std::memory_order_relaxed); }
-
- private:
-  struct Key {
-    uint64_t corpus_identity;
-    const CompiledLfProgram* program;
-    bool operator==(const Key& other) const {
-      return corpus_identity == other.corpus_identity &&
-             program == other.program;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      uint64_t h = key.corpus_identity * 0x9e3779b97f4a7c15ull;
-      h ^= reinterpret_cast<uintptr_t>(key.program) + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
-
-  std::mutex mu_;
-  std::unordered_map<Key, std::shared_ptr<ScanCacheEntry>, KeyHash> entries_;
-  uint64_t tick_ = 0;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<size_t> total_bytes_{0};
-};
-
 }  // namespace
 
-CompiledScanCacheStats GetCompiledScanCacheStats() {
-  return ScanCache::Instance().Stats();
-}
+CompiledScanCacheStats GetCompiledScanCacheStats() { return {}; }
 
-void ClearCompiledScanCache() { ScanCache::Instance().Clear(); }
+void ClearCompiledScanCache() {}
 
 CompiledLfBatch::CompiledLfBatch(
     std::shared_ptr<const CompiledLfProgram> program, const Corpus& corpus,
     const std::vector<const Candidate*>& rows, size_t begin)
     : program_(std::move(program)) {
   const CompiledLfProgram& p = *program_;
-  slot_words_ = (p.entries.size() + 63) / 64;
+  num_slots_ = p.entries.size();
+  slot_words_ = (num_slots_ + 63) / 64;
   rows_.resize(rows.size());
-  TokenMemo memo;
-  ScanCache& cache = ScanCache::Instance();
-  std::shared_ptr<ScanCacheEntry> entry =
-      cache.GetEntry(corpus.identity(), program_);
+  Scratch scratch;
   std::unordered_map<uint64_t, uint32_t> scan_index;  // (doc, sent) -> scan
-
-  // Cached-or-scanned lookup for one sentence. Misses scan outside the
-  // entry lock (two threads may race to scan the same sentence; the scan is
-  // deterministic, so the first insert wins and both results are
-  // bit-identical).
-  auto get_scan =
-      [&](uint64_t key,
-          const Sentence& sentence) -> std::shared_ptr<const LfSentenceScan> {
-    {
-      std::lock_guard<std::mutex> lock(entry->mu);
-      auto it = entry->scans.find(key);
-      if (it != entry->scans.end()) {
-        cache.CountHit();
-        return it->second;
-      }
-    }
-    cache.CountMiss();
-    auto scan = std::make_shared<LfSentenceScan>();
-    ScanSentence(sentence, &memo, scan.get());
-    size_t delta = 0;
-    std::shared_ptr<const LfSentenceScan> out;
-    {
-      std::lock_guard<std::mutex> lock(entry->mu);
-      auto [it, inserted] = entry->scans.try_emplace(key, std::move(scan));
-      out = it->second;
-      if (inserted && !entry->evicted) {
-        delta = ScanBytes(*out);
-        entry->bytes += delta;
-      }
-    }
-    if (delta > 0) cache.Credit(delta);
-    return out;
+  // Scan index of one sentence, scanning it on first reference.
+  auto scan_of = [&](uint32_t doc, uint32_t sent, const Sentence& sentence) {
+    uint64_t key = (static_cast<uint64_t>(doc) << 32) | sent;
+    auto [it, inserted] = scan_index.try_emplace(
+        key, static_cast<uint32_t>(scan_index.size()));
+    if (inserted) ScanSentence(sentence, &scratch);
+    return it->second;
   };
 
   for (size_t i = begin; i < rows.size(); ++i) {
     const Candidate& c = *rows[i];
-    uint64_t key =
-        (static_cast<uint64_t>(c.span1.doc) << 32) | c.span1.sentence;
     const Sentence& sentence =
         corpus.document(c.span1.doc).sentences[c.span1.sentence];
-    auto [it, inserted] =
-        scan_index.try_emplace(key, static_cast<uint32_t>(scans_.size()));
-    if (inserted) scans_.push_back(get_scan(key, sentence));
-
     RowCtx& ctx = rows_[i];
-    ctx.scan = it->second;
+    ctx.scan = scan_of(c.span1.doc, c.span1.sentence, sentence);
     ctx.span1_first = c.span1.word_start <= c.span2.word_start;
     const Span& first = ctx.span1_first ? c.span1 : c.span2;
     const Span& second = ctx.span1_first ? c.span2 : c.span1;
@@ -227,72 +66,54 @@ CompiledLfBatch::CompiledLfBatch(
   }
 
   if (p.has_doc_scope) {
-    std::unordered_map<uint32_t, int32_t> doc_blocks;  // doc -> doc_bits_ idx
+    std::unordered_map<uint32_t, int32_t> doc_blocks;  // doc -> block
     for (size_t i = begin; i < rows.size(); ++i) {
       uint32_t doc_id = rows[i]->span1.doc;
       auto [it, inserted] = doc_blocks.try_emplace(
-          doc_id, static_cast<int32_t>(doc_bits_.size()));
+          doc_id, static_cast<int32_t>(doc_blocks.size()));
       if (inserted) {
-        std::shared_ptr<const std::vector<uint64_t>> block;
-        {
-          std::lock_guard<std::mutex> lock(entry->mu);
-          auto bit = entry->doc_bits.find(doc_id);
-          if (bit != entry->doc_bits.end()) block = bit->second;
-        }
-        if (block == nullptr) {
-          // OR the any-match bits of every sentence in the document (also
-          // sentences holding no candidate of this batch).
-          auto bits = std::make_shared<std::vector<uint64_t>>(slot_words_, 0);
-          const Document& doc = corpus.document(doc_id);
-          for (size_t s = 0; s < doc.sentences.size(); ++s) {
-            uint64_t key = (static_cast<uint64_t>(doc_id) << 32) | s;
-            std::shared_ptr<const LfSentenceScan> scan =
-                get_scan(key, doc.sentences[s]);
-            for (size_t w = 0; w < slot_words_; ++w) {
-              (*bits)[w] |= scan->any_bits[w];
-            }
+        // OR the any-hit bits of every sentence in the document, scanning
+        // the ones no row of this batch has referenced yet.
+        size_t block = doc_bits_.size();
+        doc_bits_.resize(block + slot_words_, 0);
+        const Document& doc = corpus.document(doc_id);
+        for (size_t s = 0; s < doc.sentences.size(); ++s) {
+          uint32_t scan =
+              scan_of(doc_id, static_cast<uint32_t>(s), doc.sentences[s]);
+          for (size_t w = 0; w < slot_words_; ++w) {
+            doc_bits_[block + w] |= any_bits_[scan * slot_words_ + w];
           }
-          size_t delta = 0;
-          {
-            std::lock_guard<std::mutex> lock(entry->mu);
-            auto [bit, added] =
-                entry->doc_bits.try_emplace(doc_id, std::move(bits));
-            block = bit->second;
-            if (added && !entry->evicted) {
-              delta = block->capacity() * sizeof(uint64_t) + 64;
-              entry->bytes += delta;
-            }
-          }
-          if (delta > 0) cache.Credit(delta);
         }
-        doc_bits_.push_back(std::move(block));
       }
       rows_[i].doc_index = it->second;
     }
   }
+  hit_offsets_.push_back(static_cast<uint32_t>(hits_.size()));
 }
 
-void CompiledLfBatch::ScanSentence(const Sentence& sentence, TokenMemo* memo,
-                                   LfSentenceScan* scan) const {
+void CompiledLfBatch::ScanSentence(const Sentence& sentence,
+                                   Scratch* scratch) {
   const CompiledLfProgram& p = *program_;
-  size_t num_slots = p.entries.size();
-  scan->any_bits.assign(slot_words_, 0);
+  const size_t any_base = any_bits_.size();
+  any_bits_.resize(any_base + slot_words_, 0);
   size_t num_words = sentence.words.size();
-  std::vector<std::pair<uint32_t, uint64_t>> raw;  // (slot, packed interval)
+  std::vector<std::pair<uint32_t, uint64_t>>& raw = scratch->raw;
+  raw.clear();
 
   auto record = [&](uint32_t slot, uint32_t a, uint32_t b) {
     raw.emplace_back(slot, PackInterval(a, b));
-    scan->any_bits[slot >> 6] |= 1ull << (slot & 63);
+    any_bits_[any_base + (slot >> 6)] |= 1ull << (slot & 63);
   };
 
   if (!p.token_pattern_slots.empty() && num_words > 0) {
     // Resolve each distinct raw token to its (lower, stem) symbols once per
     // batch; the walks below then touch only u32 ids.
-    std::vector<const TokenSymbols*> symbols(num_words);
+    std::vector<const TokenSymbols*>& symbols = scratch->symbols;
+    symbols.resize(num_words);
     for (size_t t = 0; t < num_words; ++t) {
       const std::string& word = sentence.words[t];
-      auto it = memo->find(word);
-      if (it == memo->end()) {
+      auto it = scratch->memo.find(word);
+      if (it == scratch->memo.end()) {
         TokenSymbols resolved;
         std::string lower = ToLower(word);
         uint32_t lower_id = p.LookupSymbol(lower);
@@ -305,7 +126,7 @@ void CompiledLfBatch::ScanSentence(const Sentence& sentence, TokenMemo* memo,
             resolved.stem_encoded = (stem_id << 1) | 1u;
           }
         }
-        it = memo->emplace(std::string_view(word), resolved).first;
+        it = scratch->memo.emplace(std::string_view(word), resolved).first;
       }
       symbols[t] = &it->second;
     }
@@ -338,7 +159,8 @@ void CompiledLfBatch::ScanSentence(const Sentence& sentence, TokenMemo* memo,
     // first byte is byte_starts[t], and the separator before it (t > 0) is
     // byte_starts[t] - 1. Strictly increasing, so interval mapping is a
     // binary search.
-    std::vector<size_t> byte_starts(num_words);
+    std::vector<size_t>& byte_starts = scratch->byte_starts;
+    byte_starts.resize(num_words);
     size_t total = 0;
     for (size_t t = 0; t < num_words; ++t) {
       byte_starts[t] = total + (t > 0 ? 1 : 0);
@@ -375,28 +197,36 @@ void CompiledLfBatch::ScanSentence(const Sentence& sentence, TokenMemo* memo,
     }
   }
 
-  // Group hits by slot (counting sort), then order each slot's hits by
-  // (a, b) so containment checks can binary-search on a.
-  scan->hit_offsets.assign(num_slots + 1, 0);
-  for (const auto& [slot, packed] : raw) scan->hit_offsets[slot + 1]++;
-  for (size_t s = 0; s < num_slots; ++s) {
-    scan->hit_offsets[s + 1] += scan->hit_offsets[s];
+  // Group hits by slot (counting sort) behind the hits of earlier scans,
+  // then order each slot's hits by (a, b) so containment checks can
+  // binary-search on a. The next scan's first offset closes this one's last
+  // slot (the constructor appends the final closing offset).
+  const uint32_t hit_base = static_cast<uint32_t>(hits_.size());
+  const size_t offset_base = hit_offsets_.size();
+  std::vector<uint32_t>& cursor = scratch->cursor;
+  cursor.assign(num_slots_, 0);
+  for (const auto& [slot, packed] : raw) cursor[slot]++;
+  uint32_t next = hit_base;
+  for (size_t s = 0; s < num_slots_; ++s) {
+    uint32_t count = cursor[s];
+    hit_offsets_.push_back(next);
+    cursor[s] = next;
+    next += count;
   }
-  scan->hits.resize(raw.size());
-  std::vector<uint32_t> cursor(scan->hit_offsets.begin(),
-                               scan->hit_offsets.end() - 1);
-  for (const auto& [slot, packed] : raw) scan->hits[cursor[slot]++] = packed;
-  for (size_t s = 0; s < num_slots; ++s) {
-    std::sort(scan->hits.begin() + scan->hit_offsets[s],
-              scan->hits.begin() + scan->hit_offsets[s + 1]);
+  hits_.resize(next);
+  for (const auto& [slot, packed] : raw) hits_[cursor[slot]++] = packed;
+  for (size_t s = 0; s < num_slots_; ++s) {
+    std::sort(hits_.begin() + hit_offsets_[offset_base + s],
+              hits_.begin() + cursor[s]);
   }
 }
 
-bool CompiledLfBatch::HasHitIn(const LfSentenceScan& scan, uint32_t slot,
-                               uint32_t lo, uint32_t hi) const {
+bool CompiledLfBatch::HasHitIn(uint32_t scan, uint32_t slot, uint32_t lo,
+                               uint32_t hi) const {
   if (lo >= hi) return false;
-  auto begin = scan.hits.begin() + scan.hit_offsets[slot];
-  auto end = scan.hits.begin() + scan.hit_offsets[slot + 1];
+  const size_t offset = scan * num_slots_ + slot;
+  auto begin = hits_.begin() + hit_offsets_[offset];
+  auto end = hits_.begin() + hit_offsets_[offset + 1];
   for (auto it = std::lower_bound(begin, end, PackInterval(lo, 0));
        it != end; ++it) {
     uint32_t a = static_cast<uint32_t>(*it >> 32);
@@ -410,7 +240,7 @@ bool CompiledLfBatch::HasHitIn(const LfSentenceScan& scan, uint32_t slot,
 Label CompiledLfBatch::Eval(uint32_t slot, size_t i) const {
   const CompiledLfEntry& e = program_->entries[slot];
   const RowCtx& ctx = rows_[i];
-  const LfSentenceScan& scan = *scans_[ctx.scan];
+  const uint32_t scan = ctx.scan;
   switch (e.kind) {
     case LfSpecKind::kKeywordBetween: {
       uint32_t hi = std::min(ctx.second_start, ctx.sent_size);
@@ -431,12 +261,13 @@ Label CompiledLfBatch::Eval(uint32_t slot, size_t i) const {
       return HasHitIn(scan, slot, ctx.second_end, right_hi) ? e.label
                                                             : kAbstain;
     }
-    case LfSpecKind::kSentenceKeyword:
-      return (scan.any_bits[slot >> 6] >> (slot & 63)) & 1 ? e.label
-                                                           : kAbstain;
+    case LfSpecKind::kSentenceKeyword: {
+      uint64_t word = any_bits_[scan * slot_words_ + (slot >> 6)];
+      return (word >> (slot & 63)) & 1 ? e.label : kAbstain;
+    }
     case LfSpecKind::kDocumentKeyword: {
       if (ctx.doc_index < 0) return kAbstain;
-      uint64_t word = (*doc_bits_[ctx.doc_index])[slot >> 6];
+      uint64_t word = doc_bits_[ctx.doc_index * slot_words_ + (slot >> 6)];
       return (word >> (slot & 63)) & 1 ? e.label : kAbstain;
     }
     case LfSpecKind::kRegexBetween: {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
@@ -14,21 +15,9 @@
 
 namespace snorkel {
 
-/// Automaton scan results for one sentence under one program. Immutable
-/// once built; shared between concurrent batches through the process-wide
-/// scan cache (see below).
-struct LfSentenceScan {
-  /// Hits grouped by slot: slot s owns hits[hit_offsets[s] ..
-  /// hit_offsets[s+1]), each packed (a << 32) | b — the half-open token
-  /// interval [a, b] the match covers — sorted ascending (by a, then b).
-  std::vector<uint32_t> hit_offsets;
-  std::vector<uint64_t> hits;
-  /// Per-slot "any hit in this sentence" bitset (sentence scope).
-  std::vector<uint64_t> any_bits;
-};
-
-/// Counters for the process-wide compiled-scan cache. `hits`/`misses` count
-/// sentence-level lookups; `bytes`/`entries` describe current residency.
+/// Compiled scans are not cached, so every field is 0. Kept only because
+/// the benchmark harness reads these counters; goes with those readers at
+/// the next benchmark change.
 struct CompiledScanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -37,30 +26,30 @@ struct CompiledScanCacheStats {
   size_t entries = 0;
 };
 
+/// Always all-zero (see CompiledScanCacheStats).
 CompiledScanCacheStats GetCompiledScanCacheStats();
 
-/// Drops every cached scan (tests; also frees memory after a corpus churn).
+/// No-op, kept for the benchmark harness (see CompiledScanCacheStats).
 void ClearCompiledScanCache();
 
-/// One request's worth of compiled LF execution: resolves every distinct
-/// (doc, sentence) referenced by the candidate batch to its automaton scan
-/// — through a process-wide cache keyed by (program, corpus identity), so a
-/// corpus served repeatedly is scanned once, not once per request — then
-/// answers per-(row, LF) votes with range checks over the precomputed hit
-/// stream. The cache key uses Corpus::identity(), which is bumped by every
-/// mutable corpus access, so stale or address-aliased text can never be
-/// served; evictions are LRU under a fixed byte budget. Construction is
-/// serial and deterministic; Eval() is const and safe to call from any
-/// number of threads concurrently — which is how the appliers use it
-/// (build once, evaluate rows in parallel).
+/// One request's worth of compiled LF execution: scans every distinct
+/// (doc, sentence) the candidate batch references through the program's
+/// automata exactly once, into flat arrays the batch owns, then answers
+/// per-(row, LF) votes with range checks over that hit stream. Nothing
+/// outlives the batch and nothing is shared between batches: the only cache
+/// in front of LF application is IncrementalApplier's column cache, which
+/// keys on Corpus::identity(). Construction is serial and deterministic;
+/// Eval() is const and safe to call from any number of threads concurrently
+/// — which is how the appliers use it (build once, evaluate rows in
+/// parallel).
 ///
 /// Bitwise contract: Eval(slot, i) returns exactly what the interpreted
 /// lambda of the LF backing `slot` would return on row i.
 class CompiledLfBatch {
  public:
   /// `rows[i]` may be null for i < begin (those rows are never evaluated);
-  /// candidates must outlive the batch. `begin` lets the incremental
-  /// applier skip scan work for cached row prefixes.
+  /// candidates and `corpus` need only outlive the constructor. `begin`
+  /// lets the incremental applier skip scan work for cached row prefixes.
   CompiledLfBatch(std::shared_ptr<const CompiledLfProgram> program,
                   const Corpus& corpus,
                   const std::vector<const Candidate*>& rows,
@@ -75,8 +64,8 @@ class CompiledLfBatch {
   static constexpr uint32_t kNoToken = 0xffffffffu;
 
   struct RowCtx {
-    uint32_t scan = 0;           // index into scans_
-    int32_t doc_index = -1;      // index into doc_bits_, or -1
+    uint32_t scan = 0;           // index of the row's scanned sentence
+    int32_t doc_index = -1;      // block in doc_bits_, or -1
     uint32_t first_start = 0;    // positionally-first span
     uint32_t first_end = 0;
     uint32_t second_start = 0;   // positionally-second span
@@ -95,19 +84,37 @@ class CompiledLfBatch {
     uint32_t lower_encoded = CompiledLfProgram::kNoSymbol;
     uint32_t stem_encoded = CompiledLfProgram::kNoSymbol;
   };
-  using TokenMemo = std::unordered_map<std::string_view, TokenSymbols>;
 
-  void ScanSentence(const Sentence& sentence, TokenMemo* memo,
-                    LfSentenceScan* scan) const;
-  bool HasHitIn(const LfSentenceScan& scan, uint32_t slot, uint32_t lo,
-                uint32_t hi) const;
+  /// Per-batch working memory, reused across the sentences of one batch so
+  /// scanning allocates only when a buffer grows.
+  struct Scratch {
+    std::unordered_map<std::string_view, TokenSymbols> memo;
+    std::vector<const TokenSymbols*> symbols;
+    std::vector<size_t> byte_starts;
+    std::vector<std::pair<uint32_t, uint64_t>> raw;  // (slot, interval)
+    std::vector<uint32_t> cursor;
+  };
+
+  /// Scans `sentence` and appends it as the next scan index: its hits to
+  /// hits_/hit_offsets_ and its any-hit bits to any_bits_.
+  void ScanSentence(const Sentence& sentence, Scratch* scratch);
+  bool HasHitIn(uint32_t scan, uint32_t slot, uint32_t lo, uint32_t hi) const;
 
   std::shared_ptr<const CompiledLfProgram> program_;
+  size_t num_slots_ = 0;
   size_t slot_words_ = 0;  // u64 words per any-bits block
-  std::vector<std::shared_ptr<const LfSentenceScan>> scans_;
-  /// Per-doc "any hit in this document" bitsets (document scope), each
-  /// slot_words_ u64 words.
-  std::vector<std::shared_ptr<const std::vector<uint64_t>>> doc_bits_;
+  /// Hits of scan k, slot s: hits_[hit_offsets_[k * num_slots_ + s] ..
+  /// hit_offsets_[k * num_slots_ + s + 1]), each packed (a << 32) | b — the
+  /// token interval [a, b] the match covers — sorted ascending. Scans are
+  /// laid out back to back, so the trailing entry closes the last one.
+  std::vector<uint32_t> hit_offsets_;
+  std::vector<uint64_t> hits_;
+  /// Per-scan "any hit in this sentence" bits (sentence scope), slot_words_
+  /// u64 words per scan.
+  std::vector<uint64_t> any_bits_;
+  /// Per-doc "any hit in this document" bits (document scope), slot_words_
+  /// u64 words per referenced document.
+  std::vector<uint64_t> doc_bits_;
   std::vector<RowCtx> rows_;
 };
 

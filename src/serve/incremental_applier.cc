@@ -321,12 +321,12 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
       }
     }
   }
-  // Salt with the corpus identity: LFs read corpus text the row hash does
+  // Salt with Corpus::identity(): LFs read corpus text the row hash does
   // not cover, so same-shaped candidate sets from DIFFERENT corpora must
-  // not share columns. (In-place corpus mutation still needs
-  // InvalidateAll(); the address cannot observe it.)
-  CandidateFingerprinter fingerprinter(
-      static_cast<uint64_t>(reinterpret_cast<uintptr_t>(&corpus)));
+  // not share columns. Identity (unlike the address) is fresh for a corpus
+  // reallocated where a freed one lived and is bumped by in-place edits, so
+  // neither can be served the old text's columns.
+  CandidateFingerprinter fingerprinter(corpus.identity());
   for (size_t i = 0; i < m; ++i) {
     fingerprinter.Add(rows.candidate(i), rows.index(i));
     auto checkpoint = chain_at.find(fingerprinter.count());

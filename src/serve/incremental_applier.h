@@ -25,11 +25,11 @@ namespace snorkel {
 /// what lets a cache recognize "the same log, grown".
 ///
 /// The hash covers the candidates' span coordinates and entity strings, NOT
-/// the corpus text the LFs read — the applier salts the chain with the
-/// corpus's identity (its address) so same-shaped candidate sets from
-/// different corpora cannot collide. Mutating a corpus in place (or tearing
-/// one down and allocating another at the same address) is invisible to the
-/// fingerprint: call InvalidateAll() after either.
+/// the corpus text the LFs read — the applier salts the chain with
+/// Corpus::identity() so same-shaped candidate sets from different corpora
+/// cannot collide. Identity is fresh per corpus object and bumped by every
+/// mutable access, so a corpus edited in place, or a new one allocated at a
+/// freed corpus's address, fingerprints as a new set.
 struct SetFingerprint {
   uint64_t digest = 0;
   uint64_t chain = 0;
@@ -159,9 +159,11 @@ class IncrementalApplier {
                                 const std::vector<CandidateRef>& rows,
                                 const CancelToken* cancel = nullptr);
 
-  /// Drops every cached set (e.g. after mutating the corpus in place, which
-  /// the candidate fingerprint cannot observe). In-flight Apply calls
-  /// finish against their pinned entries and publish into them harmlessly.
+  /// Drops every cached set, e.g. to release memory. Not needed for
+  /// correctness after a corpus edit: the set fingerprint is salted with
+  /// Corpus::identity(), which every mutable corpus access bumps. In-flight
+  /// Apply calls finish against their pinned entries and publish into them
+  /// harmlessly.
   void InvalidateAll();
 
   /// Drops the cached column for one LF fingerprint from every set (no-op

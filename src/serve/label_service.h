@@ -234,11 +234,11 @@ class LabelService {
   /// Snapshot of the cumulative serving counters.
   ServiceStats stats() const;
 
-  /// Drops every cached LF column. Call after reusing a corpus the cache
-  /// cannot observe changing — mutating one in place, or tearing one down
-  /// and allocating another at the same address (the cache scopes entries
-  /// by corpus identity, which address reuse defeats). Safe concurrently
-  /// with Label(); in-flight requests finish against their pinned entries.
+  /// Drops every cached LF column, e.g. to release memory. A corpus change
+  /// does not need it: the cache scopes entries by Corpus::identity(), so
+  /// an in-place corpus edit or a new corpus at a freed one's address is a
+  /// cache miss. Safe concurrently with Label(); in-flight requests finish
+  /// against their pinned entries.
   void InvalidateCache();
 
   /// The restored generative model (meaningful for binary services only).

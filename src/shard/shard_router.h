@@ -127,7 +127,7 @@ class ShardRouter {
   RouterStats stats() const;
 
   /// Drops every replica's cached LF columns (see
-  /// LabelService::InvalidateCache for when this is required).
+  /// LabelService::InvalidateCache).
   void InvalidateCache();
 
   /// Makes every later Label() call fail typed kFailedPrecondition.

@@ -6,7 +6,8 @@
 // per-row path, at any thread count, for every synthetic workload in the
 // repo. These tests pin that contract over all four §4.1.1 relation tasks,
 // the unary radiology task, hand-built degenerate-token corpora, the
-// snapshot-loaded (Decode'd) program path, the IncrementalApplier cache,
+// snapshot-loaded (Decode'd) program path, the IncrementalApplier cache
+// (including append extension, where a batch scans only the appended rows),
 // and a many-threads shared-applier hammer (run under TSan in CI).
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include "data/context.h"
 #include "data/knowledge_base.h"
 #include "lf/applier.h"
-#include "lf/compiled/engine.h"
 #include "lf/compiled/program.h"
 #include "lf/declarative.h"
 #include "lf/labeling_function.h"
@@ -58,13 +58,15 @@ void ExpectSameMatrix(const LabelMatrix& compiled,
   EXPECT_EQ(compiled.cardinality(), interpreted.cardinality());
 }
 
-/// Compiled-vs-interpreted parity at 1 / 2 / 8 threads. The interpreted
-/// baseline runs serial so any divergence is attributable to the engine,
-/// not the sharding.
+/// Compiled-vs-interpreted parity at 1 / 2 / 8 threads, then through an
+/// IncrementalApplier that extends a cached first half, so its compiled
+/// batch scans only the appended rows (begin > 0). The interpreted baseline
+/// runs serial so any divergence is attributable to the engine, not the
+/// sharding.
 void CheckParityAcrossThreadCounts(const LabelingFunctionSet& lfs,
                                    const Corpus& corpus,
                                    const std::vector<Candidate>& candidates) {
-  ASSERT_FALSE(candidates.empty());
+  ASSERT_GE(candidates.size(), 2u);
   LabelMatrix interpreted = MustApply(
       {.num_threads = 1, .use_compiled = false}, lfs, corpus, candidates);
   ASSERT_FALSE(interpreted.entries().empty());
@@ -75,6 +77,17 @@ void CheckParityAcrossThreadCounts(const LabelingFunctionSet& lfs,
         candidates);
     ExpectSameMatrix(compiled, interpreted);
   }
+
+  SCOPED_TRACE("append extension");
+  IncrementalApplier applier(
+      IncrementalApplier::Options{.num_threads = 2, .use_compiled = true});
+  std::vector<Candidate> prefix(candidates.begin(),
+                                candidates.begin() + candidates.size() / 2);
+  ASSERT_TRUE(applier.Apply(lfs, corpus, prefix).ok());
+  auto grown = applier.Apply(lfs, corpus, candidates);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_GT(applier.stats().appended_rows, 0u);
+  ExpectSameMatrix(*grown, interpreted);
 }
 
 // ---------------------------------------------------------------------------
@@ -164,7 +177,8 @@ TEST(CompiledParityTest, RadiologyUnaryCandidatesBitwise) {
   auto task = MakeRadiologyTask(options);
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   // Unary candidates (span1 == span2): the sentence/document-scope families
-  // and the degenerate between-range (empty) both get exercised.
+  // and the degenerate between-range (empty) both get exercised, also on
+  // the append-extension path.
   CheckParityAcrossThreadCounts(task->lfs, task->corpus, task->candidates);
 }
 
@@ -399,7 +413,7 @@ TEST(CompiledServingTest, RouterServesCompiledIdenticalToInterpreted) {
 // ---------------------------------------------------------------------------
 // Concurrency: one applier, one shared program, many requester threads.
 // Run under TSan in CI (the compiled engine shares the immutable program
-// and per-corpus scan state across the pool's workers).
+// across requests and each batch's scans across the pool's workers).
 // ---------------------------------------------------------------------------
 
 TEST(CompiledConcurrencyTest, SharedApplierHammerStaysBitwise) {
@@ -435,32 +449,9 @@ TEST(CompiledConcurrencyTest, SharedApplierHammerStaysBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide scan cache: repeat applies must reuse scans, and corpus
-// mutation (identity bump) must never serve stale ones.
+// Corpus edits: compiled scans are per batch, and the column cache keys on
+// Corpus::identity(), so an in-place edit is never served the old text.
 // ---------------------------------------------------------------------------
-
-TEST(CompiledScanCacheTest, RepeatAppliesHitCacheAndStayBitwise) {
-  auto task = MakeCdrTask(101, 0.08);
-  ASSERT_TRUE(task.ok()) << task.status().ToString();
-  LabelMatrix baseline =
-      MustApply({.num_threads = 1, .use_compiled = false}, task->lfs,
-                task->corpus, task->candidates);
-
-  LFApplier compiled({.num_threads = 1, .use_compiled = true});
-  auto first = compiled.Apply(task->lfs, task->corpus, task->candidates);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  CompiledScanCacheStats after_first = GetCompiledScanCacheStats();
-  auto second = compiled.Apply(task->lfs, task->corpus, task->candidates);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  CompiledScanCacheStats after_second = GetCompiledScanCacheStats();
-
-  // Second pass over the same (program, corpus) is pure lookup: every
-  // sentence hits, nothing new is scanned.
-  EXPECT_GT(after_second.hits, after_first.hits);
-  EXPECT_EQ(after_second.misses, after_first.misses);
-  ExpectSameMatrix(*first, baseline);
-  ExpectSameMatrix(*second, baseline);
-}
 
 TEST(CompiledScanCacheTest, MutatedCorpusGetsFreshScans) {
   Corpus corpus;
@@ -478,12 +469,18 @@ TEST(CompiledScanCacheTest, MutatedCorpusGetsFreshScans) {
   lfs.Add(MakeKeywordBetweenLF("kw_cause", {"cause"}, 1));
 
   LFApplier compiled({.num_threads = 1, .use_compiled = true});
+  IncrementalApplier cached(
+      IncrementalApplier::Options{.num_threads = 1, .use_compiled = true});
   auto before = compiled.Apply(lfs, corpus, candidates);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_EQ(before->entries().size(), 1u);  // "causes" matched
+  auto cached_before = cached.Apply(lfs, corpus, candidates);
+  ASSERT_TRUE(cached_before.ok()) << cached_before.status().ToString();
+  ExpectSameMatrix(*cached_before, *before);
 
   // In-place edit through the mutable accessor bumps the corpus identity,
-  // so the cached scan for the old text can never be served again.
+  // so the column cached for the old text is never served again — with no
+  // InvalidateAll().
   corpus.mutable_document(0)->sentences[0].words[1] = "prevents";
   auto after = compiled.Apply(lfs, corpus, candidates);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
@@ -491,19 +488,23 @@ TEST(CompiledScanCacheTest, MutatedCorpusGetsFreshScans) {
   LabelMatrix interpreted = MustApply({.num_threads = 1, .use_compiled = false},
                                       lfs, corpus, candidates);
   ExpectSameMatrix(*after, interpreted);
+  auto cached_after = cached.Apply(lfs, corpus, candidates);
+  ASSERT_TRUE(cached_after.ok()) << cached_after.status().ToString();
+  ExpectSameMatrix(*cached_after, interpreted);
+  EXPECT_EQ(cached.stats().set_misses, 2u);
 }
 
 TEST(CompiledScanCacheTest, CorpusIdentityFreshOnCopyStableAcrossMove) {
   Corpus a;
   uint64_t id_a = a.identity();
   Corpus b = a;
-  EXPECT_NE(b.identity(), id_a);  // copies never alias cached scans
+  EXPECT_NE(b.identity(), id_a);  // copies never alias cached columns
   uint64_t id_b = b.identity();
   Corpus c = std::move(b);
-  EXPECT_EQ(c.identity(), id_b);  // moves carry the cache with the contents
+  EXPECT_EQ(c.identity(), id_b);  // moves keep the contents' cached columns
   EXPECT_NE(b.identity(), id_b);  // moved-from is a fresh (empty) corpus
   a.AddDocument(Document{});
-  EXPECT_NE(a.identity(), id_a);  // mutation invalidates
+  EXPECT_NE(a.identity(), id_a);  // mutation retires the cached columns
 }
 
 }  // namespace

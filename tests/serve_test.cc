@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -489,6 +490,50 @@ TEST(IncrementalApplierTest, SameShapedSetsFromDifferentCorporaDoNotCollide) {
   EXPECT_EQ(original->At(0, 0), 1);
   EXPECT_EQ(swapped->At(0, 0), kAbstain);
   EXPECT_EQ(swapped->At(0, 1), -1);
+}
+
+TEST(IncrementalApplierTest, CorpusReallocatedAtSameAddressGetsFreshColumns) {
+  // A corpus freed and a new one built in the same storage (the ShardServer
+  // intern table frees decoded corpora all the time) must not inherit the
+  // old corpus's columns: the fingerprint is salted with Corpus::identity(),
+  // not with the address, so the same candidate rows over the new text are
+  // a fresh set.
+  auto build = [](const std::string& verb) {
+    Corpus corpus;
+    Document doc;
+    Sentence s;
+    s.words = {"aspirin", verb, "headache"};
+    s.mentions = {Mention{0, 1, "chemical", "C_asp"},
+                  Mention{2, 3, "disease", "D_ha"}};
+    doc.sentences = {s};
+    corpus.AddDocument(std::move(doc));
+    return corpus;
+  };
+  LabelingFunctionSet lfs;
+  lfs.Add(MakeKeywordBetweenLF("kw_cause", {"cause"}, 1));
+  IncrementalApplier applier;
+
+  std::optional<Corpus> slot;
+  slot.emplace(build("causes"));
+  const Corpus* address = &*slot;
+  auto candidates = CandidateExtractor("chemical", "disease").Extract(*slot);
+  ASSERT_EQ(candidates.size(), 1u);
+  auto first = applier.Apply(lfs, *slot, candidates);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->At(0, 0), 1);
+
+  slot.reset();
+  slot.emplace(build("prevents"));
+  ASSERT_EQ(&*slot, address);
+  ASSERT_EQ(CandidateExtractor("chemical", "disease").Extract(*slot).size(),
+            1u);
+  auto second = applier.Apply(lfs, *slot, candidates);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  auto expected = LFApplier().Apply(lfs, *slot, candidates);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(expected->At(0, 0), kAbstain);
+  EXPECT_EQ(second->At(0, 0), kAbstain) << "served the freed corpus's column";
+  EXPECT_EQ(applier.stats().set_misses, 2u);
 }
 
 TEST(IncrementalApplierTest, ThrowingLfFailsClaimsWithoutWedgingTheSet) {
