@@ -102,9 +102,9 @@ altset = result["serve"].get("altset")
 if not altset:
     sys.exit("serve benchmark JSON is missing the 'altset' section")
 print(
-    "alternating sets: cached {:.0f} vs cache-off {:.0f} cand/s "
+    "alternating sets: cached {:.0f} cand/s "
     "({} callers, second-cycle reuse {:.0%})".format(
-        altset["cached_cps"], altset["nocache_cps"], altset["callers"],
+        altset["cached_cps"], altset["callers"],
         altset["second_cycle_reuse"]))
 # The compiled-LF section (PR 9): the Aho-Corasick batch engine must stay
 # on the trajectory — a silent fall-back to interpreted execution would
@@ -123,7 +123,7 @@ stream = result["serve"].get("appendstream")
 if not stream:
     sys.exit("serve benchmark JSON is missing the 'appendstream' section")
 print(
-    "append-only stream: cached {:.3f}s vs cache-off {:.3f}s over {} steps "
+    "append-only stream: cached {:.3f}s vs uncached {:.3f}s over {} steps "
     "({:.1f}x, {} tail rows appended)".format(
         stream["cached_s"], stream["nocache_s"], stream["steps"],
         stream["speedup"], stream["appended_rows"]))

@@ -1,5 +1,6 @@
 #include "lf/applier.h"
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <tuple>
@@ -11,7 +12,10 @@
 namespace snorkel {
 
 LFApplier::LFApplier(Options options)
-    : options_(options), pool_(MakeDedicatedPool(options.num_threads)) {}
+    : options_(options),
+      pool_(options.num_threads > 1
+                ? std::make_unique<ThreadPool>(options.num_threads)
+                : nullptr) {}
 
 LFApplier::LFApplier(LFApplier&&) noexcept = default;
 LFApplier& LFApplier::operator=(LFApplier&&) noexcept = default;
@@ -26,6 +30,20 @@ std::vector<CandidateRef> MakeCandidateRefs(
   return refs;
 }
 
+Result<LabelMatrix> ColumnsToLabelMatrix(
+    size_t num_rows, const std::vector<const Label*>& columns,
+    int cardinality) {
+  // FromTriplets re-validates structurally (belt and suspenders).
+  std::vector<std::tuple<size_t, size_t, Label>> triplets;
+  for (size_t i = 0; i < num_rows; ++i) {
+    for (size_t j = 0; j < columns.size(); ++j) {
+      if (columns[j][i] != kAbstain) triplets.emplace_back(i, j, columns[j][i]);
+    }
+  }
+  return LabelMatrix::FromTriplets(num_rows, columns.size(), triplets,
+                                   cardinality);
+}
+
 Result<LabelMatrix> LFApplier::Apply(
     const LabelingFunctionSet& lfs, const Corpus& corpus,
     const std::vector<Candidate>& candidates, const CancelToken* cancel) const {
@@ -35,42 +53,68 @@ Result<LabelMatrix> LFApplier::Apply(
 Result<LabelMatrix> LFApplier::ApplyRefs(
     const LabelingFunctionSet& lfs, const Corpus& corpus,
     const std::vector<CandidateRef>& rows, const CancelToken* cancel) const {
-  size_t m = rows.size();
-  size_t n = lfs.size();
-
-  // Compiled dispatch: one serial pass scans every distinct sentence through
-  // the program's shared automata, then the parallel loop below answers
-  // compiled columns from the hit stream and only interprets the rest.
-  std::shared_ptr<const CompiledLfProgram> program;
-  if (options_.use_compiled) {
-    if (options_.compiled_program &&
-        ProgramMatchesLfSet(*options_.compiled_program, lfs)) {
-      program = options_.compiled_program;
-    } else {
-      program = GetOrCompileProgram(lfs);
-    }
-    if (program->num_compiled() == 0) program = nullptr;
+  const size_t m = rows.size();
+  const size_t n = lfs.size();
+  std::vector<Label> labels(m * n, kAbstain);
+  std::vector<LfColumnFill> fills(n);
+  std::vector<const Label*> columns(n);
+  for (size_t j = 0; j < n; ++j) {
+    fills[j] = LfColumnFill{j, 0, labels.data() + j * m};
+    columns[j] = fills[j].labels;
   }
+  Status status = FillColumns(lfs, corpus, rows, fills, cancel);
+  if (!status.ok()) return status;
+  return ColumnsToLabelMatrix(m, columns, options_.cardinality);
+}
+
+Status LFApplier::FillColumns(const LabelingFunctionSet& lfs,
+                              const Corpus& corpus,
+                              const std::vector<CandidateRef>& rows,
+                              const std::vector<LfColumnFill>& columns,
+                              const CancelToken* cancel) const {
+  const size_t m = rows.size();
+  size_t begin = m;
+  for (const LfColumnFill& column : columns) {
+    begin = std::min(begin, column.start_row);
+  }
+  if (begin >= m) return Status::OK();
+
+  // Compiled dispatch: one serial pass scans every distinct sentence of the
+  // rows to compute through the program's shared automata, then the
+  // parallel loop below answers compiled columns from the hit stream and
+  // only interprets the rest. Bitwise-identical to interpreting, so cached
+  // columns stay interchangeable however they were computed.
+  std::vector<int32_t> slots(columns.size(), -1);
   std::optional<CompiledLfBatch> batch;
-  if (program != nullptr && m > 0) {
-    std::vector<const Candidate*> candidates(m);
-    for (size_t i = 0; i < m; ++i) candidates[i] = rows[i].candidate;
-    batch.emplace(program, corpus, candidates);
+  if (options_.use_compiled) {
+    std::shared_ptr<const CompiledLfProgram> program =
+        options_.compiled_program &&
+                ProgramMatchesLfSet(*options_.compiled_program, lfs)
+            ? options_.compiled_program
+            : GetOrCompileProgram(lfs);
+    bool any_compiled = false;
+    for (size_t k = 0; k < columns.size(); ++k) {
+      slots[k] = program->slot_of_lf[columns[k].lf];
+      any_compiled = any_compiled || slots[k] >= 0;
+    }
+    if (any_compiled) {
+      std::vector<const Candidate*> candidates(m, nullptr);
+      for (size_t i = begin; i < m; ++i) candidates[i] = rows[i].candidate;
+      batch.emplace(std::move(program), corpus, candidates, begin);
+    }
   }
 
-  // Per-candidate sparse vote buffers, filled in parallel without locking.
   // Votes are checked against the shared validity rule (core/types.h) as
   // they are produced, so a buggy LF fails the call with ITS name attached
   // (first offender wins) instead of an anonymous matrix-construction error.
-  std::vector<std::vector<LabelMatrix::Entry>> votes(m);
   std::atomic<bool> has_error{false};
-  std::atomic<size_t> error_col{0};
+  std::atomic<size_t> error_lf{0};
   std::atomic<Label> error_label{0};
   // Set iff at least one row was skipped because the caller's deadline
-  // expired mid-apply — the signal that the result below must be a typed
-  // kDeadlineExceeded, not a silently truncated matrix.
+  // expired mid-apply — the signal that the result must be a typed
+  // kDeadlineExceeded, not silently truncated columns.
   std::atomic<bool> cancelled{false};
-  auto label_one = [&](size_t i) {
+  auto fill_row = [&](size_t i) {
     // Cooperative cancellation, throttled: the token's latch makes the
     // check a relaxed load after first expiry, and probing the clock only
     // every 64 rows keeps the healthy path free of clock reads.
@@ -80,33 +124,35 @@ Result<LabelMatrix> LFApplier::ApplyRefs(
     }
     if (cancelled.load(std::memory_order_relaxed)) return;
     CandidateView view(&corpus, rows[i].candidate, rows[i].index);
-    for (size_t j = 0; j < n; ++j) {
-      int32_t slot = batch ? program->slot_of_lf[j] : -1;
-      Label label = slot >= 0 ? batch->Eval(static_cast<uint32_t>(slot), i)
-                              : lfs.at(j).Apply(view);
+    for (size_t k = 0; k < columns.size(); ++k) {
+      const LfColumnFill& column = columns[k];
+      if (i < column.start_row) continue;
+      Label label = batch && slots[k] >= 0
+                        ? batch->Eval(static_cast<uint32_t>(slots[k]), i)
+                        : lfs.at(column.lf).Apply(view);
       if (!LabelValidFor(label, options_.cardinality)) {
         bool expected = false;
         if (has_error.compare_exchange_strong(expected, true)) {
-          error_col.store(j);
+          error_lf.store(column.lf);
           error_label.store(label);
         }
         return;
       }
-      if (label != kAbstain) {
-        votes[i].push_back(
-            LabelMatrix::Entry{static_cast<uint32_t>(j), label});
-      }
+      column.labels[i] = label;
     }
   };
-
-  // Shared applier threading convention (util/thread_pool.h): serial
-  // inline, this applier's lifetime pool, or the process-wide pool — never
-  // a pool spun up per call.
-  ParallelApplyRows(pool_.get(), options_.num_threads, 0, m, label_one);
+  // Serial inline (asked for, or under 64 rows), this applier's lifetime
+  // pool, or the process-wide pool — never a pool spun up per call.
+  if (options_.num_threads == 1 || m - begin < 64) {
+    for (size_t i = begin; i < m; ++i) fill_row(i);
+  } else {
+    (pool_ != nullptr ? *pool_ : SharedThreadPool())
+        .ParallelFor(begin, m, fill_row);
+  }
 
   if (has_error.load()) {
     return Status::InvalidArgument(
-        "LF '" + lfs.at(error_col.load()).name() + "' voted " +
+        "LF '" + lfs.at(error_lf.load()).name() + "' voted " +
         std::to_string(error_label.load()) + ", invalid for cardinality " +
         std::to_string(options_.cardinality));
   }
@@ -115,15 +161,7 @@ Result<LabelMatrix> LFApplier::ApplyRefs(
         "request deadline expired during LF application; remaining rows "
         "cancelled");
   }
-
-  // FromTriplets re-validates structurally (belt and suspenders).
-  std::vector<std::tuple<size_t, size_t, Label>> triplets;
-  for (size_t i = 0; i < m; ++i) {
-    for (const auto& e : votes[i]) {
-      triplets.emplace_back(i, e.lf, e.label);
-    }
-  }
-  return LabelMatrix::FromTriplets(m, n, triplets, options_.cardinality);
+  return Status::OK();
 }
 
 }  // namespace snorkel

@@ -30,11 +30,33 @@ struct CandidateRef {
 std::vector<CandidateRef> MakeCandidateRefs(
     const std::vector<Candidate>& candidates);
 
+/// One LF column for LFApplier::FillColumns to compute: LF `lf`'s votes on
+/// rows [start_row, rows.size()) land in `labels`, a caller-owned buffer of
+/// rows.size() entries. Entries below start_row are left untouched (the
+/// column cache copies a cached prefix there before extending it).
+struct LfColumnFill {
+  size_t lf = 0;
+  size_t start_row = 0;
+  Label* labels = nullptr;
+};
+
+/// Assembles Λ from dense per-LF columns: columns[j] holds num_rows votes
+/// of LF j (kAbstain = no entry). The one columns → matrix step shared by
+/// LFApplier and the column cache (serve/incremental_applier.h).
+Result<LabelMatrix> ColumnsToLabelMatrix(
+    size_t num_rows, const std::vector<const Label*>& columns,
+    int cardinality);
+
 /// Applies a labeling-function set over a candidate set to produce the label
 /// matrix Λ. Candidates are independent, so application is embarrassingly
 /// parallel (paper Appendix C "Execution Model"); the applier shards the
 /// candidate range over a thread pool, the single-node analog of the paper's
 /// multiprocessing / Spark layers.
+///
+/// FillColumns is the only code that evaluates LFs over rows: Apply fills
+/// every column from row 0, and IncrementalApplier computes its cache
+/// misses (full columns and append-extended tails) through it, so cached
+/// and uncached votes come from one row loop.
 class LFApplier {
  public:
   struct Options {
@@ -54,10 +76,11 @@ class LFApplier {
     std::shared_ptr<const CompiledLfProgram> compiled_program = nullptr;
   };
 
-  /// `num_threads > 1` creates this applier's dedicated pool ONCE, here —
-  /// never per Apply call (a per-call pool paid thread start-up on every
-  /// serving request; see serve/incremental_applier.h). `num_threads == 0`
-  /// routes every apply through the process-wide SharedThreadPool().
+  /// `num_threads == 1` applies rows serially inline; `num_threads > 1`
+  /// creates this applier's dedicated pool ONCE, here — never per Apply
+  /// call (a per-call pool paid thread start-up on every serving request).
+  /// `num_threads == 0` routes every apply through the process-wide
+  /// SharedThreadPool().
   explicit LFApplier(Options options);
   LFApplier() : LFApplier(Options{}) {}
 
@@ -87,6 +110,19 @@ class LFApplier {
                                 const Corpus& corpus,
                                 const std::vector<CandidateRef>& rows,
                                 const CancelToken* cancel = nullptr) const;
+
+  /// Computes the requested columns over rows [start_row, rows.size()) each
+  /// (see LfColumnFill) in one pass over the rows. Compilable LFs answer
+  /// from one CompiledLfBatch scan of the rows from the smallest start_row
+  /// on — the options' pre-built program when it matches `lfs`, else the
+  /// process-wide compile — and the rest interpret per row. Returns
+  /// InvalidArgument naming the first offending LF for a vote invalid under
+  /// the cardinality, and kDeadlineExceeded when `cancel` expired mid-pass
+  /// (checked every 64 rows). On error the buffers hold partial votes.
+  Status FillColumns(const LabelingFunctionSet& lfs, const Corpus& corpus,
+                     const std::vector<CandidateRef>& rows,
+                     const std::vector<LfColumnFill>& columns,
+                     const CancelToken* cancel = nullptr) const;
 
  private:
   Options options_;

@@ -5,18 +5,12 @@
 #include <condition_variable>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
-#include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
-#include "lf/compiled/engine.h"
-#include "lf/compiled/program.h"
 #include "obs/metrics.h"
 #include "util/hash.h"
-#include "util/thread_pool.h"
 
 namespace snorkel {
 
@@ -109,6 +103,9 @@ struct SetEntry {
 
 struct IncrementalApplier::State {
   Options options;
+  /// Computes every miss: the cache decides which columns and rows, this
+  /// applier's FillColumns evaluates them.
+  LFApplier applier;
 
   /// Guards the set map's structure; hits take it shared.
   mutable std::shared_mutex sets_mu;
@@ -125,10 +122,6 @@ struct IncrementalApplier::State {
   std::atomic<uint64_t> appended_rows{0};
   std::atomic<uint64_t> evicted_sets{0};
 
-  /// Dedicated pool per the shared applier threading convention
-  /// (util/thread_pool.h): null unless num_threads > 1.
-  std::unique_ptr<ThreadPool> pool;
-
   /// Registry callback tokens for the cache counters. The callbacks
   /// capture `this`; UnregisterCallback in ~State is the lifetime barrier
   /// (callbacks run under the registry lock). State sits behind a
@@ -136,7 +129,9 @@ struct IncrementalApplier::State {
   std::vector<uint64_t> metric_tokens;
 
   explicit State(Options opts)
-      : options(opts), pool(MakeDedicatedPool(opts.num_threads)) {
+      : options(opts),
+        applier(LFApplier::Options{opts.num_threads, opts.cardinality,
+                                   opts.use_compiled, opts.compiled_program}) {
     auto& registry = obs::MetricsRegistry::Default();
     auto expose = [&](const char* name, std::atomic<uint64_t>* counter) {
       metric_tokens.push_back(registry.RegisterCallback(
@@ -165,11 +160,6 @@ struct IncrementalApplier::State {
   ~State() {
     auto& registry = obs::MetricsRegistry::Default();
     for (uint64_t token : metric_tokens) registry.UnregisterCallback(token);
-  }
-
-  void ParallelRows(size_t begin, size_t end,
-                    const std::function<void(size_t)>& fn) {
-    ParallelApplyRows(pool.get(), options.num_threads, begin, end, fn);
   }
 
   /// Set when an eviction pass left the cache over budget because every
@@ -227,28 +217,6 @@ void IncrementalApplier::InvalidateAll() {
   state_->sets.clear();
 }
 
-void IncrementalApplier::Invalidate(uint64_t fingerprint) {
-  std::unique_lock<std::shared_mutex> lock(state_->sets_mu);
-  for (auto& [digest, entry] : state_->sets) {
-    std::unique_lock<std::shared_mutex> columns_lock(entry->columns_mu);
-    auto it = entry->columns.find(fingerprint);
-    if (it == entry->columns.end()) continue;
-    // A still-computing column has no bytes recorded yet, and its claimer
-    // checks map membership (under this lock) before recording any: erasing
-    // it here both drops it for future lookups AND stops it from being
-    // published into the cache. Requests that started before this call may
-    // still be served from the in-flight computation — no ordering
-    // guarantee exists for them — but requests starting after Invalidate
-    // returns recompute.
-    if (it->second->state.load(std::memory_order_acquire) ==
-        ColumnState::kReady) {
-      entry->bytes.fetch_sub(it->second->labels.size() * sizeof(Label),
-                             std::memory_order_relaxed);
-    }
-    entry->columns.erase(it);
-  }
-}
-
 IncrementalApplier::Stats IncrementalApplier::stats() const {
   Stats stats;
   stats.columns_reused =
@@ -285,26 +253,14 @@ size_t IncrementalApplier::cached_sets() const {
 Result<LabelMatrix> IncrementalApplier::Apply(
     const LabelingFunctionSet& lfs, const Corpus& corpus,
     const std::vector<Candidate>& candidates, const CancelToken* cancel) {
-  RowSource rows;
-  rows.owned = candidates.data();
-  rows.size = candidates.size();
-  return ApplyInternal(lfs, corpus, rows, cancel);
+  return ApplyRefs(lfs, corpus, MakeCandidateRefs(candidates), cancel);
 }
 
 Result<LabelMatrix> IncrementalApplier::ApplyRefs(
     const LabelingFunctionSet& lfs, const Corpus& corpus,
-    const std::vector<CandidateRef>& refs, const CancelToken* cancel) {
-  RowSource rows;
-  rows.refs = refs.data();
-  rows.size = refs.size();
-  return ApplyInternal(lfs, corpus, rows, cancel);
-}
-
-Result<LabelMatrix> IncrementalApplier::ApplyInternal(
-    const LabelingFunctionSet& lfs, const Corpus& corpus, RowSource rows,
-    const CancelToken* cancel) {
+    const std::vector<CandidateRef>& rows, const CancelToken* cancel) {
   State& state = *state_;
-  const size_t m = rows.size;
+  const size_t m = rows.size();
   const size_t n = lfs.size();
   const uint64_t tick =
       state.tick.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -328,7 +284,7 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
   // neither can be served the old text's columns.
   CandidateFingerprinter fingerprinter(corpus.identity());
   for (size_t i = 0; i < m; ++i) {
-    fingerprinter.Add(rows.candidate(i), rows.index(i));
+    fingerprinter.Add(*rows[i].candidate, rows[i].index);
     auto checkpoint = chain_at.find(fingerprinter.count());
     if (checkpoint != chain_at.end()) {
       checkpoint->second = fingerprinter.chain();
@@ -478,10 +434,11 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
     state.columns_reused.fetch_add(reused, std::memory_order_relaxed);
   }
 
-  // ---- Compute the claimed columns in one fused pass over the rows each
-  // needs: full columns start at row 0, append-extensions copy the cached
-  // prefix and start at the base's row count. Different callers' claims
-  // compute concurrently; nothing here holds any cache lock. ----
+  // ---- Compute the claimed columns with one LFApplier::FillColumns pass
+  // over the rows each needs: full columns start at row 0, append-extensions
+  // copy the cached prefix and start at the base's row count. Different
+  // callers' claims compute concurrently; nothing here holds any cache
+  // lock. ----
 
   // Fails every claim this call owns without poisoning the cache: pull the
   // columns off the map first (new lookups recompute), publish the failure
@@ -520,26 +477,9 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
       }
     }
   };
-  // If an LF throws (user code; std::function can), the exception unwinds
-  // past the publish below — without this guard the claims would sit in
-  // kComputing forever and every later Apply for this set would block on
-  // them. Fail them typed instead, then let the exception propagate.
-  struct ClaimAbortGuard {
-    std::function<void()> abort;
-    bool armed = false;
-    ~ClaimAbortGuard() {
-      if (armed) abort();
-    }
-  } abort_guard{[&fail_claims] {
-                  fail_claims(Status::Internal(
-                      "LF application aborted by an exception; the claimed "
-                      "columns were failed, not cached"));
-                },
-                false};
-
   if (!claimed.empty()) {
-    abort_guard.armed = true;
-    size_t min_start = m;
+    std::vector<LfColumnFill> fills;
+    fills.reserve(claimed.size());
     for (Claim& claim : claimed) {
       claim.column->labels.assign(m, kAbstain);
       if (claim.start_row > 0) {
@@ -547,112 +487,37 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
                   claim.base_column->labels.end(),
                   claim.column->labels.begin());
       }
-      min_start = std::min(min_start, claim.start_row);
+      fills.push_back(LfColumnFill{claim.lf_index, claim.start_row,
+                                   claim.column->labels.data()});
     }
-
-    // Compiled dispatch for the claimed columns that have compiled slots:
-    // scan each distinct sentence of the to-compute rows once, then answer
-    // those columns from the hit stream. Bitwise-identical to interpreting,
-    // so mixed cached/compiled/interpreted columns stay interchangeable.
-    std::shared_ptr<const CompiledLfProgram> program;
-    if (state.options.use_compiled) {
-      if (state.options.compiled_program &&
-          ProgramMatchesLfSet(*state.options.compiled_program, lfs)) {
-        program = state.options.compiled_program;
-      } else {
-        program = GetOrCompileProgram(lfs);
-      }
-      bool any_compiled_claim = false;
-      for (const Claim& claim : claimed) {
-        if (program->slot_of_lf[claim.lf_index] >= 0) {
-          any_compiled_claim = true;
-          break;
-        }
-      }
-      if (!any_compiled_claim) program = nullptr;
+    Status status;
+    try {
+      status = state.applier.FillColumns(lfs, corpus, rows, fills, cancel);
+    } catch (...) {
+      // An LF threw (user code). Claims left computing would block every
+      // later Apply for this set forever: fail them typed, then rethrow.
+      fail_claims(Status::Internal(
+          "LF application aborted by an exception; the claimed columns were "
+          "failed, not cached"));
+      throw;
     }
-    std::optional<CompiledLfBatch> batch;
-    if (program != nullptr && min_start < m) {
-      std::vector<const Candidate*> candidates(m, nullptr);
-      for (size_t i = min_start; i < m; ++i) {
-        candidates[i] = &rows.candidate(i);
-      }
-      batch.emplace(program, corpus, candidates, min_start);
+    if (!status.ok()) {
+      // A bad vote or an expired deadline: the claims were never complete,
+      // so they fail off the map (future lookups recompute) and any caller
+      // already waiting on them gets the same typed error.
+      fail_claims(status);
+      return status;
     }
-
-    std::atomic<bool> has_error{false};
-    std::atomic<size_t> error_col{0};
-    std::atomic<Label> error_label{0};
-    // Latched when the caller's deadline expires mid-compute; the claimed
-    // columns are then failed off the map (never cached half-filled).
-    std::atomic<bool> cancelled{false};
-    state.ParallelRows(min_start, m, [&](size_t i) {
-      // Cooperative cancellation at row chunk boundaries: probe the clock
-      // only every 64 rows (the token latches, so after first expiry this
-      // is a relaxed load for every sibling thread).
-      if ((i & 63) == 0 && cancel != nullptr && cancel->Expired()) {
-        cancelled.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (cancelled.load(std::memory_order_relaxed)) return;
-      CandidateView view(&corpus, &rows.candidate(i), rows.index(i));
-      for (const Claim& claim : claimed) {
-        if (i < claim.start_row) continue;
-        int32_t slot = batch ? program->slot_of_lf[claim.lf_index] : -1;
-        Label label = slot >= 0
-                          ? batch->Eval(static_cast<uint32_t>(slot), i)
-                          : lfs.at(claim.lf_index).Apply(view);
-        if (!LabelValidFor(label, state.options.cardinality)) {
-          bool expected = false;
-          if (has_error.compare_exchange_strong(expected, true)) {
-            error_col.store(claim.lf_index);
-            error_label.store(label);
-          }
-          return;
-        }
-        claim.column->labels[i] = label;
-      }
-    });
-    if (has_error.load()) {
-      Status error = Status::InvalidArgument(
-          "LF '" + lfs.at(error_col.load()).name() + "' voted " +
-          std::to_string(error_label.load()) + ", invalid for cardinality " +
-          std::to_string(state.options.cardinality));
-      abort_guard.armed = false;
-      fail_claims(error);
-      return error;
-    }
-    if (cancelled.load()) {
-      // Expired mid-compute: abandon the claims through the same
-      // cache-safe path a bad vote takes — pulled off the map (future
-      // lookups recompute), failed typed for anyone already waiting.
-      Status error = Status::DeadlineExceeded(
-          "request deadline expired during LF application; claimed columns "
-          "abandoned");
-      abort_guard.armed = false;
-      fail_claims(error);
-      return error;
-    }
+    // Only this call erases its own claims (fail_claims), so every claimed
+    // column is still in the entry's map: publish and count its bytes.
     uint64_t appended = 0;
-    {
-      // Exclusive over the map so the membership check AND the byte
-      // accounting serialize with Invalidate(): a claim dropped
-      // mid-compute publishes for its own waiters but contributes no
-      // bytes (it is off the map, and Invalidate subtracted nothing).
-      std::unique_lock<std::shared_mutex> lock(entry->columns_mu);
-      uint64_t published_bytes = 0;
-      for (const Claim& claim : claimed) {
-        auto it = entry->columns.find(claim.fingerprint);
-        if (it != entry->columns.end() && it->second == claim.column) {
-          published_bytes += claim.column->labels.size() * sizeof(Label);
-        }
-        if (claim.start_row > 0) appended += m - claim.start_row;
-        claim.column->state.store(ColumnState::kReady,
-                                  std::memory_order_release);
-      }
-      entry->bytes.fetch_add(published_bytes, std::memory_order_relaxed);
+    for (const Claim& claim : claimed) {
+      if (claim.start_row > 0) appended += m - claim.start_row;
+      claim.column->state.store(ColumnState::kReady,
+                                std::memory_order_release);
     }
-    abort_guard.armed = false;
+    entry->bytes.fetch_add(claimed.size() * m * sizeof(Label),
+                           std::memory_order_relaxed);
     state.columns_computed.fetch_add(claimed.size(),
                                      std::memory_order_relaxed);
     if (appended > 0) {
@@ -692,15 +557,10 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
   }
 
   // ---- Assemble Λ from the resolved columns (all ready, all length m). ----
-  std::vector<std::tuple<size_t, size_t, Label>> triplets;
-  for (size_t j = 0; j < n; ++j) {
-    const std::vector<Label>& column = by_position[j]->labels;
-    for (size_t i = 0; i < m; ++i) {
-      if (column[i] != kAbstain) triplets.emplace_back(i, j, column[i]);
-    }
-  }
-  Result<LabelMatrix> matrix = LabelMatrix::FromTriplets(
-      m, n, triplets, state.options.cardinality);
+  std::vector<const Label*> columns(n);
+  for (size_t j = 0; j < n; ++j) columns[j] = by_position[j]->labels.data();
+  Result<LabelMatrix> matrix =
+      ColumnsToLabelMatrix(m, columns, state.options.cardinality);
 
   // Miss paths grew the cache: enforce the byte budget before returning.
   // The hit path never reaches here, so hits stay exclusive-lock-free.

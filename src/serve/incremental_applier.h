@@ -87,11 +87,16 @@ SetFingerprint FingerprintCandidateRefs(const std::vector<CandidateRef>& rows,
 /// instead of recomputing. Eviction can race in-flight readers safely:
 /// entries are shared_ptr-held and an Apply pins its set for its duration,
 /// so the byte budget is soft by at most the pinned sets' size.
+///
+/// The cache only decides WHICH columns and rows to compute; the computing
+/// itself is LFApplier::FillColumns on an applier this cache owns, the same
+/// row loop an uncached Apply runs.
 class IncrementalApplier {
  public:
   struct Options {
-    /// Worker threads for miss computation; 0 = the process-wide shared
-    /// pool, 1 = serial, n > 1 = a dedicated pool owned by this applier.
+    /// Worker threads for miss computation, under LFApplier's convention:
+    /// 0 = the process-wide shared pool, 1 = serial, n > 1 = a dedicated
+    /// pool owned by this applier.
     size_t num_threads = 0;
     /// Cardinality of the resulting matrix (2 = binary ±1).
     int cardinality = 2;
@@ -101,9 +106,8 @@ class IncrementalApplier {
     /// the pinned working set.
     size_t max_cached_bytes = 64ull << 20;
     /// Compute cache-miss columns of compilable LFs through the batch
-    /// engine (lf/compiled/) instead of interpreting per row. Bitwise
-    /// identical output, so cached columns stay interchangeable between the
-    /// two paths.
+    /// engine (lf/compiled/) instead of interpreting per row; see
+    /// LFApplier::Options::use_compiled.
     bool use_compiled = true;
     /// Pre-built program (e.g. from a snapshot's LFCP section); see
     /// LFApplier::Options::compiled_program.
@@ -166,10 +170,6 @@ class IncrementalApplier {
   /// harmlessly.
   void InvalidateAll();
 
-  /// Drops the cached column for one LF fingerprint from every set (no-op
-  /// when absent).
-  void Invalidate(uint64_t fingerprint);
-
   /// Consistent snapshot of the cumulative counters (atomics; never blocks
   /// behind a miss computation).
   Stats stats() const;
@@ -180,24 +180,6 @@ class IncrementalApplier {
 
  private:
   struct State;
-
-  /// One request's rows in either form; row i is (candidate(i), index(i)).
-  struct RowSource {
-    const Candidate* owned = nullptr;      // index(i) == i
-    const CandidateRef* refs = nullptr;    // index(i) == refs[i].index
-    size_t size = 0;
-
-    const Candidate& candidate(size_t i) const {
-      return owned != nullptr ? owned[i] : *refs[i].candidate;
-    }
-    size_t index(size_t i) const {
-      return owned != nullptr ? i : refs[i].index;
-    }
-  };
-
-  Result<LabelMatrix> ApplyInternal(const LabelingFunctionSet& lfs,
-                                    const Corpus& corpus, RowSource rows,
-                                    const CancelToken* cancel);
 
   std::unique_ptr<State> state_;
 };

@@ -26,9 +26,9 @@ namespace snorkel {
 /// zero-copy fan-out path used by the sharded tier: sub-batches reference
 /// the original request's candidates and keep their original indices, so
 /// even index-dependent LFs behave identically under sharding. Both forms
-/// go through the incremental column cache when it is enabled (ref batches
-/// fingerprint by content + reported index, and an identity ref view of a
-/// vector shares cached columns with the owned form).
+/// go through the service's column cache (ref batches fingerprint by
+/// content + reported index, and an identity ref view of a vector shares
+/// cached columns with the owned form).
 struct LabelRequest {
   const Corpus* corpus = nullptr;
   const std::vector<Candidate>* candidates = nullptr;
@@ -178,23 +178,21 @@ struct ServiceStats {
 /// kernel. LF votes are validated against the snapshot's cardinality on
 /// every path.
 ///
+/// Every request applies LFs through one IncrementalApplier: repeat batches
+/// reuse cached columns, and fresh ones compute their misses through the
+/// same LFApplier row loop an uncached apply would run.
+///
 /// Thread-safe, with narrow critical sections: the posterior computation is
-/// read-only on the restored model and runs lock-free, and the incremental
-/// applier's column cache is itself concurrent (shared-lock hits, per-column
-/// miss collapse) — so concurrent Label() callers overlap their compute on
-/// BOTH the cached and the stateless path. The serving counters are
-/// lock-free too (atomic counters + an atomic-bucket latency histogram),
-/// so no request ever serializes on stats.
+/// read-only on the restored model and runs lock-free, and the column cache
+/// is itself concurrent (shared-lock hits, per-column miss collapse) — so
+/// concurrent Label() callers overlap their compute. The serving counters
+/// are lock-free too (atomic counters + an atomic-bucket latency
+/// histogram), so no request ever serializes on stats.
 class LabelService {
  public:
   struct Options {
+    /// Worker threads for LF application (IncrementalApplier::Options).
     size_t num_threads = 0;
-    /// Reuse memoized LF columns across requests (the §4.1 iterate loop,
-    /// repeat/alternating serving batches, and append-only candidate
-    /// streams); identical posteriors either way. The cache is concurrent:
-    /// hits take no exclusive lock and misses for the same column collapse
-    /// onto one computation across callers.
-    bool use_incremental_cache = true;
     /// Forwarded to GenerativeModel at restore time (binary snapshots).
     GenerativeModelOptions gen;
     /// Forwarded to DawidSkeneModel at restore time (K-class snapshots).
@@ -267,12 +265,10 @@ class LabelService {
   GenerativeModel model_;
   DawidSkeneModel ds_model_;
   LabelingFunctionSet lfs_;
-  /// Concurrent multi-set column cache (when enabled); no service-level
-  /// lock guards it — concurrent callers hit, miss, and wait inside it.
+  /// Concurrent multi-set column cache, the only LF-application path; no
+  /// service-level lock guards it — concurrent callers hit, miss, and wait
+  /// inside it.
   IncrementalApplier applier_;
-  /// Stateless fallback (cache disabled); persistent so an explicit
-  /// num_threads pool is created once, not per request.
-  LFApplier stateless_applier_;
 
   /// Monotonic anchors for wall-clock throughput: start of the first
   /// request ever (CAS-min; ~0 = never served) and completion of the most

@@ -105,24 +105,6 @@ ThreadPool& SharedThreadPool() {
   return *pool;
 }
 
-std::unique_ptr<ThreadPool> MakeDedicatedPool(size_t num_threads) {
-  if (num_threads <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(num_threads);
-}
-
-void ParallelApplyRows(ThreadPool* dedicated, size_t num_threads,
-                       size_t begin, size_t end,
-                       const std::function<void(size_t)>& fn) {
-  constexpr size_t kInlineRows = 64;
-  if (num_threads == 1 || end - begin < kInlineRows) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  } else if (dedicated != nullptr) {
-    dedicated->ParallelFor(begin, end, fn);
-  } else {
-    SharedThreadPool().ParallelFor(begin, end, fn);
-  }
-}
-
 ScopedPool::ScopedPool(int num_threads) {
   if (num_threads == 0) {
     pool_ = &SharedThreadPool();

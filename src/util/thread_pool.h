@@ -66,24 +66,6 @@ class ThreadPool {
 /// how many models train or serve concurrently.
 ThreadPool& SharedThreadPool();
 
-/// The threading convention shared by the LF appliers (lf/applier.h,
-/// serve/incremental_applier.h): `num_threads` of 1 applies rows serially
-/// inline, 0 routes through SharedThreadPool(), and n > 1 uses a dedicated
-/// pool the applier owns for its LIFETIME (never built per call). The two
-/// helpers below keep that convention in one place so the stateless and
-/// cached appliers cannot diverge.
-
-/// Returns the applier's dedicated pool under the convention: null unless
-/// num_threads > 1.
-std::unique_ptr<ThreadPool> MakeDedicatedPool(size_t num_threads);
-
-/// Runs fn(i) for i in [begin, end): inline when serial was requested or
-/// the range is below the sharding threshold (64 rows), else on
-/// `dedicated` when non-null, else on the process-wide pool.
-void ParallelApplyRows(ThreadPool* dedicated, size_t num_threads,
-                       size_t begin, size_t end,
-                       const std::function<void(size_t)>& fn);
-
 /// Resolves the conventional `num_threads` knob used by the modeling
 /// options structs, in one place: 0 = the process-wide SharedThreadPool();
 /// n > 0 = a dedicated pool of n workers owned by this handle for its

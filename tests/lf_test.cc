@@ -322,6 +322,49 @@ TEST(LFApplierTest, OutOfRangeVoteErrorsUnderSerialAndParallel) {
   }
 }
 
+TEST(LFApplierTest, FillColumnsComputesEachColumnFromItsStartRow) {
+  Corpus corpus;
+  for (int d = 0; d < 200; ++d) {
+    Document doc;
+    Sentence s;
+    s.words = {"magnesium", d % 2 == 0 ? "causes" : "treats", "quadriplegia"};
+    s.mentions = {Mention{0, 1, "chemical", "C_mg"},
+                  Mention{2, 3, "disease", "D_quad"}};
+    doc.sentences = {s};
+    corpus.AddDocument(std::move(doc));
+  }
+  auto candidates = CandidateExtractor("chemical", "disease").Extract(corpus);
+  ASSERT_EQ(candidates.size(), 200u);
+  LabelingFunctionSet lfs;
+  lfs.Add(MakeKeywordBetweenLF("lf_causes", {"cause"}, 1));  // Compiled.
+  lfs.Add(LabelingFunction("lf_index", [](const CandidateView& view) -> Label {
+    return view.index() % 3 == 0 ? -1 : kAbstain;
+  }));
+  const auto rows = MakeCandidateRefs(candidates);
+
+  for (size_t num_threads : {size_t{1}, size_t{4}}) {
+    LFApplier applier(LFApplier::Options{.num_threads = num_threads,
+                                         .cardinality = 2});
+    auto full = applier.Apply(lfs, corpus, candidates);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+    // Rows below each column's start keep the caller's sentinel; the rest
+    // match the full apply.
+    constexpr Label kUntouched = 7;
+    std::vector<Label> causes(200, kUntouched);
+    std::vector<Label> index(200, kUntouched);
+    ASSERT_TRUE(applier
+                    .FillColumns(lfs, corpus, rows,
+                                 {LfColumnFill{0, 70, causes.data()},
+                                  LfColumnFill{1, 130, index.data()}})
+                    .ok());
+    for (size_t i = 0; i < 200; ++i) {
+      EXPECT_EQ(causes[i], i < 70 ? kUntouched : full->At(i, 0)) << i;
+      EXPECT_EQ(index[i], i < 130 ? kUntouched : full->At(i, 1)) << i;
+    }
+  }
+}
+
 TEST(LFApplierTest, EmptyCandidatesYieldEmptyMatrix) {
   Fixture fx;
   LabelingFunctionSet lfs;

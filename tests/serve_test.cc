@@ -560,7 +560,7 @@ TEST(IncrementalApplierTest, ThrowingLfFailsClaimsWithoutWedgingTheSet) {
   ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
 }
 
-TEST(IncrementalApplierTest, InvalidateDropsOneColumnEverywhere) {
+TEST(IncrementalApplierTest, InvalidateAllDropsEverySet) {
   ServeFixture fx;
   LabelingFunctionSet lfs = fx.MakeLfs();
   std::vector<Candidate> a(fx.candidates.begin(), fx.candidates.begin() + 50);
@@ -569,18 +569,6 @@ TEST(IncrementalApplierTest, InvalidateDropsOneColumnEverywhere) {
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, a).ok());
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, b).ok());
   ASSERT_EQ(applier.cached_columns(), 6u);
-  uint64_t bytes_before = applier.stats().bytes_cached;
-
-  applier.Invalidate(lfs.at(1).fingerprint());
-  EXPECT_EQ(applier.cached_columns(), 4u);  // Dropped from BOTH sets.
-  EXPECT_EQ(applier.stats().bytes_cached,
-            bytes_before - 2 * 50 * sizeof(Label));
-
-  // Re-serving recomputes exactly the invalidated column per set.
-  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, a).ok());
-  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, b).ok());
-  EXPECT_EQ(applier.stats().columns_computed, 8u);
-  EXPECT_EQ(applier.cached_columns(), 6u);
 
   applier.InvalidateAll();
   EXPECT_EQ(applier.cached_sets(), 0u);
@@ -619,6 +607,76 @@ bool MatrixEquals(const LabelMatrix& actual, const LabelMatrix& expected) {
     }
   }
   return true;
+}
+
+TEST(IncrementalApplierTest, CancelMidApplyPublishesNoColumn) {
+  // An LF cancels the request's token at a fixed row. Serial apply makes
+  // the stop deterministic: the next cancellation probe (every 64 rows)
+  // sees the expired token and the rest of the rows are skipped.
+  ServeFixture fx(200);
+  const CancelToken* to_cancel = nullptr;
+  size_t cancel_row = 10;
+  LabelingFunctionSet lfs = fx.MakeLfs();
+  lfs.Add(LabelingFunction(
+      "lf_cancels", [&](const CandidateView& view) -> Label {
+        if (to_cancel != nullptr && view.index() == cancel_row) {
+          to_cancel->Cancel();
+        }
+        return view.index() % 3 == 0 ? 1 : kAbstain;
+      }));
+  const LFApplier::Options serial{.num_threads = 1, .cardinality = 2};
+
+  CancelToken plain_token;
+  to_cancel = &plain_token;
+  auto plain = LFApplier(serial).Apply(lfs, fx.corpus, fx.candidates,
+                                       &plain_token);
+  ASSERT_FALSE(plain.ok());
+  EXPECT_EQ(plain.status().code(), StatusCode::kDeadlineExceeded);
+
+  IncrementalApplier cache(
+      IncrementalApplier::Options{.num_threads = 1, .cardinality = 2});
+  CancelToken cache_token;
+  to_cancel = &cache_token;
+  auto cached = cache.Apply(lfs, fx.corpus, fx.candidates, &cache_token);
+  ASSERT_FALSE(cached.ok());
+  EXPECT_EQ(cached.status().code(), StatusCode::kDeadlineExceeded);
+  // None of the four claimed columns was published.
+  EXPECT_EQ(cache.cached_columns(), 0u);
+  EXPECT_EQ(cache.cached_sets(), 0u);
+  EXPECT_EQ(cache.stats().columns_computed, 0u);
+  EXPECT_EQ(cache.stats().bytes_cached, 0u);
+
+  // Un-cancelled, the same cache recomputes and matches a fresh applier.
+  to_cancel = nullptr;
+  auto expected = LFApplier(serial).Apply(lfs, fx.corpus, fx.candidates);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto retried = cache.Apply(lfs, fx.corpus, fx.candidates);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_TRUE(MatrixEquals(*retried, *expected));
+  EXPECT_EQ(cache.stats().columns_computed, 4u);
+
+  // An append-extension (tail rows [100, 200)) cancelled mid-tail leaves
+  // the cached prefix alone and publishes no extended column.
+  IncrementalApplier stream(
+      IncrementalApplier::Options{.num_threads = 1, .cardinality = 2});
+  std::vector<Candidate> prefix(fx.candidates.begin(),
+                                fx.candidates.begin() + 100);
+  ASSERT_TRUE(stream.Apply(lfs, fx.corpus, prefix).ok());
+  CancelToken stream_token;
+  to_cancel = &stream_token;
+  cancel_row = 150;
+  auto extended =
+      stream.Apply(lfs, fx.corpus, fx.candidates, &stream_token);
+  ASSERT_FALSE(extended.ok());
+  EXPECT_EQ(extended.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(stream.cached_sets(), 1u);
+  EXPECT_EQ(stream.cached_columns(), 4u);
+  EXPECT_EQ(stream.stats().appended_rows, 0u);
+  to_cancel = nullptr;
+  auto grown = stream.Apply(lfs, fx.corpus, fx.candidates);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_TRUE(MatrixEquals(*grown, *expected));
+  EXPECT_EQ(stream.stats().appended_rows, 4u * 100u);
 }
 
 TEST(ConcurrentCacheTest, HitStormSharesColumnsWithoutRecomputation) {
@@ -1687,9 +1745,7 @@ TEST(KClassServiceTest, ServesClassPosteriorsMatchingDirectModel) {
 
 TEST(KClassServiceTest, ColumnCacheServesIdenticalKClassResponses) {
   KClassFixture fx(60, 6);
-  LabelService::Options options;
-  options.use_incremental_cache = true;
-  auto service = LabelService::Create(fx.snapshot, fx.task.lfs, options);
+  auto service = LabelService::Create(fx.snapshot, fx.task.lfs);
   ASSERT_TRUE(service.ok());
 
   LabelRequest request;
